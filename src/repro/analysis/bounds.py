@@ -190,16 +190,14 @@ def region_lower_bounds(
 ) -> RegionBounds:
     """Compute both lower bounds for ``region`` on ``machine``.
 
-    Runs the genuine preparation pipeline (the IR is never modified), so
+    Runs the scheduler's own front half (the IR is never modified), so
     the op population matches what the list scheduler will place.
     Hyperblock regions go through a different pipeline (if-conversion,
     DAG dependences) and are rejected.
     """
     from repro.ir.analysis_cache import liveness_of
     from repro.regions.hyperblock import Hyperblock
-    from repro.schedule.ddg import build_ddg
-    from repro.schedule.prep import prepare_region
-    from repro.schedule.renaming import rename_region
+    from repro.schedule.scheduler import build_problem_ddg, prepare_problem
 
     if isinstance(region, Hyperblock):
         raise ValueError(
@@ -209,7 +207,6 @@ def region_lower_bounds(
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
 
-    problem = prepare_region(region, machine, liveness)
-    copies = rename_region(problem, liveness)
-    ddg = build_ddg(problem, machine, liveness=liveness, copies=copies)
+    problem, copies = prepare_problem(region, machine, liveness)
+    ddg = build_problem_ddg(problem, copies, machine, liveness)
     return bounds_from_ddg(problem, ddg, machine)

@@ -186,7 +186,6 @@ def _schedule_function_partition(
     cell: GridCell,
     machine: MachineModel,
     timer: StageTimer,
-    key_caches: Optional[Dict[Tuple[int, str], Dict]] = None,
     memo=None,
 ) -> _FunctionPartial:
     """Schedule one function's formed partition for one cell.
@@ -205,12 +204,8 @@ def _schedule_function_partition(
                               timer=timer)
             )
             continue
-        key_cache = None
-        if key_caches is not None and not cell.schedule_copies:
-            key_cache = key_caches.setdefault((id(region), cell.machine), {})
         schedules.append(
-            schedule_region(region, machine, options, liveness,
-                            timer=timer, key_cache=key_cache)
+            schedule_region(region, machine, options, liveness, timer=timer)
         )
     with timer.stage("estimate"):
         time = sum(s.weighted_time for s in schedules)
@@ -383,10 +378,6 @@ def _evaluate_grid_serial(
                             partition = scheme.form(function.cfg)
                         formed.append((partition, original.cfg.total_ops,
                                        function.cfg.total_ops))
-                # Priority keys are shared across the group's heuristics,
-                # keyed per (region, machine) — identically-prepared
-                # problems have aligned op indices.
-                key_caches: Dict[Tuple[int, str], Dict] = {}
                 if memo is not None:
                     # Tier-1 sharing is id-keyed; scope it to this
                     # group's freshly formed regions.
@@ -400,8 +391,7 @@ def _evaluate_grid_serial(
                         partials = [
                             _schedule_function_partition(
                                 partition, original_ops, final_ops, cell,
-                                machine, timer, key_caches=key_caches,
-                                memo=memo,
+                                machine, timer, memo=memo,
                             )
                             for partition, original_ops, final_ops in formed
                         ]
@@ -495,14 +485,13 @@ def _run_task(task: _Task):
                 partition = scheme.form(worked.cfg)
             formed.append((partition, function.cfg.total_ops,
                            worked.cfg.total_ops))
-        key_caches: Dict[Tuple[int, str], Dict] = {}
         out = []
         for index, cell in indexed_cells:
             machine = machine_by_name(cell.machine)
             partials = [
                 _schedule_function_partition(
                     partition, original_ops, final_ops, cell, machine,
-                    timer, key_caches=key_caches, memo=memo,
+                    timer, memo=memo,
                 )
                 for partition, original_ops, final_ops in formed
             ]

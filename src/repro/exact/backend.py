@@ -7,7 +7,8 @@ direct pipeline (:func:`repro.schedule.scheduler.schedule_region` with
 
 1. every heuristic in :data:`repro.schedule.priorities.HEURISTICS` is
    list-scheduled on the prepared problem (placement state is reset
-   between runs, exactly like the memo's tier-1 reuse), and the best
+   between runs with :meth:`ScheduleProblem.reset_placement`, the same
+   reset the memo's tier-1 reuse makes), and the best
    height becomes the branch-and-bound incumbent;
 2. if the DDG lower bound (:func:`repro.analysis.bounds.bounds_from_ddg`
    — the same admissible bound ``repro analyze`` reports) already meets
@@ -106,15 +107,6 @@ class ExactInfo:
                 f"lb={self.lower_bound} nodes={self.nodes}>")
 
 
-def _reset_placement(problem: ScheduleProblem) -> None:
-    """Undo list-schedule placement state (the memo's tier-1 reset)."""
-    for sop in problem.sched_ops:
-        sop.cycle = None
-        sop.slot = None
-        sop.merged_into = None
-        sop.op.speculative = False
-
-
 def _schedule_from_cycles(problem: ScheduleProblem, cycle_of: List[int],
                           copies) -> RegionSchedule:
     """Materialize a cycle assignment as a RegionSchedule.
@@ -145,7 +137,7 @@ def exact_schedule_problem(
     """Solve one prepared problem exactly; returns (schedule, info).
 
     ``keys`` is the ``all_priority_keys`` dict when the caller already
-    has one (memo tier 1, engine key caches); None computes it here.
+    has one (memo tier 1); None computes it here.
     The problem must be placement-clean on entry; on return it holds
     the returned schedule's placement (like any pipeline run).
     """
@@ -166,7 +158,7 @@ def exact_schedule_problem(
         heights[heuristic] = schedule.length
         if schedule.length < heights[best_heuristic]:
             best_heuristic = heuristic
-        _reset_placement(problem)
+        problem.reset_placement()
     incumbent_length = heights[best_heuristic]
 
     bounds = bounds_from_ddg(problem, ddg, machine)
@@ -242,17 +234,15 @@ def solve_region(
 ) -> Tuple[RegionSchedule, ExactInfo, ScheduleProblem, DDG]:
     """Run the full fresh pipeline and solve one region exactly.
 
-    The convenience entry the gap driver and tests use: prepares,
-    renames, builds the DDG (default options — no dominator
+    The convenience entry the gap driver and tests use: runs the
+    scheduler's front half (default options — no dominator
     parallelism, no materialized copies), then solves.  Returns the
     problem and DDG too so callers can certify the schedule with the
     ``sched.*`` lint rules without re-running the pipeline.
     """
     from repro.ir.analysis_cache import liveness_of
     from repro.regions.hyperblock import Hyperblock
-    from repro.schedule.ddg import build_ddg
-    from repro.schedule.prep import prepare_region
-    from repro.schedule.renaming import rename_region
+    from repro.schedule.scheduler import build_problem_ddg, prepare_problem
 
     if isinstance(region, Hyperblock):
         raise ValueError(
@@ -261,10 +251,8 @@ def solve_region(
         )
     if liveness is None:
         liveness = liveness_of(region.root.cfg)
-    problem = prepare_region(region, machine, liveness)
-    copies = rename_region(problem, liveness)
-    ddg = build_ddg(problem, machine, liveness=liveness, copies=copies)
-    ddg.finalize()
+    problem, copies = prepare_problem(region, machine, liveness)
+    ddg = build_problem_ddg(problem, copies, machine, liveness)
     options = ScheduleOptions(backend="exact", exact_budget=budget)
     schedule, info = exact_schedule_problem(problem, ddg, None, machine,
                                             options, copies)

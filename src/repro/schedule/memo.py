@@ -7,16 +7,22 @@ different runs — often schedule regions with identical *content*.  This
 module exploits both, in two tiers:
 
 **Tier 1 — in-process structural sharing** (``id(region)``-keyed,
-scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`):
+scoped to one (benchmark, scheme) group by :meth:`RegionMemo.begin_group`)
+is a cache in front of the scheduler's two halves: it keeps front-half
+results (:func:`~repro.schedule.scheduler.prepare_problem`,
+:func:`~repro.schedule.scheduler.build_problem_ddg`) and hands them to
+the back half (:func:`~repro.schedule.scheduler.schedule_problem`).
+The stage order lives in :mod:`repro.schedule.scheduler` alone.
 
 * prep + renaming depend on the machine only through ``use_btr``
   (:mod:`repro.schedule.prep` reads nothing else from the model), so one
   prepared :class:`~repro.schedule.prep.ScheduleProblem` serves every
-  machine of a row that agrees on it — both paper machines do.  Between
-  uses the only mutated state is per-op placement (``cycle``/``slot``/
-  ``merged_into``/``op.speculative``), which is reset;
-* the DDG and the four heuristics' priority keys read the machine only
-  through its latency table
+  machine of a row that agrees on it — both paper machines do.  Before
+  each reuse :meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`
+  undoes the previous schedule's placement;
+* the DDG and the four heuristics' priority keys
+  (:func:`~repro.schedule.priorities.all_priority_keys`, handed to the
+  back half) read the machine only through its latency table
   (:func:`~repro.schedule.fingerprint.latency_fingerprint`), so they are
   built once per (region, latency model) — 4U and 8U share one build.
 
@@ -47,12 +53,13 @@ under :func:`repro.serve.store.region_key`.
   serial, and parallel runs of one grid report identical
   ``deterministic_snapshot()``s.
 
-**Bypasses** (served by the direct pipeline, never cached): hyperblocks
-(a different pipeline), ``options.certify`` or an active lint collector
-(caller wants diagnostics, not numbers), and non-default ``max_cycles``.
-Dominator parallelism bypasses tier 1 only — its merge step rewrites
-consumer operands destructively, so each miss runs a fresh pipeline —
-but memoizes fine at tier 2 (``dp`` is in the key).
+**Bypasses** (served by :func:`~repro.schedule.scheduler.schedule_region`,
+never cached): hyperblocks (a different pipeline), ``options.certify``
+or an active lint collector (caller wants diagnostics, not numbers), and
+non-default ``max_cycles``.  Dominator parallelism bypasses tier 1 only —
+its merge step rewrites consumer operands, so a prepared problem is
+single-use and each miss calls ``schedule_region`` fresh — but memoizes
+fine at tier 2 (``dp`` is in the key).
 
 Tier-2 keys assume the region's blocks/ops/weights do not change between
 fingerprinting and scheduling — true for the engine, which forms fresh
@@ -63,7 +70,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
@@ -74,21 +81,21 @@ from repro.obs.metrics import (
     current_metrics,
     metrics_scope,
 )
-from repro.obs.tracer import NULL_TRACER
 from repro.regions.region import Region
 from repro.schedule.fingerprint import (
     latency_fingerprint,
     machine_fingerprint,
     region_fingerprint,
 )
-from repro.schedule.list_scheduler import list_schedule
-from repro.schedule.prep import prepare_region
-from repro.schedule.priorities import all_priority_keys, priority_order
-from repro.schedule.renaming import rename_region
+# Not called here; bound only because perfbench's tracing test checks
+# that its wrappers replace this module's import-time binding.
+from repro.schedule.prep import prepare_region  # noqa: F401
+from repro.schedule.priorities import all_priority_keys
 from repro.schedule.scheduler import (
     ScheduleOptions,
-    _insert_copy_ops,
-    _record_schedule_metrics,
+    build_problem_ddg,
+    prepare_problem,
+    schedule_problem,
     schedule_region,
 )
 from repro.util.timing import NULL_TIMER, StageTimer
@@ -169,27 +176,24 @@ class _Level2Entry:
         return entry
 
 
-class _ProblemEntry:
-    """Tier-1 shared prep+renaming output for one region."""
+def _build_shared(step, *args) -> Tuple:
+    """Run one tier-1 front-half step under a private registry.
 
-    __slots__ = ("problem", "copies", "snapshot", "used")
+    Returns the step's results plus the registry's snapshot, which is
+    merged into every miss that reuses them so the counters match a
+    fresh pipeline run.
+    """
+    build = MetricsRegistry()
+    with metrics_scope(build):
+        results = step(*args)
+    return results + (build.deterministic_snapshot(),)
 
-    def __init__(self, problem, copies, snapshot):
-        self.problem = problem
-        self.copies = copies
-        self.snapshot = snapshot
-        self.used = False
 
-
-class _DdgEntry:
-    """Tier-1 shared DDG + priority keys for one (region, machine)."""
-
-    __slots__ = ("ddg", "keys", "snapshot")
-
-    def __init__(self, ddg, keys, snapshot):
-        self.ddg = ddg
-        self.keys = keys
-        self.snapshot = snapshot
+def _ddg_and_keys(problem, copies, machine, liveness, timer) -> Tuple:
+    """The DDG plus every heuristic's priority keys (shared by a row)."""
+    ddg = build_problem_ddg(problem, copies, machine, liveness, timer)
+    with timer.stage("priority"):
+        return ddg, all_priority_keys(problem, ddg)
 
 
 class RegionMemo:
@@ -207,9 +211,11 @@ class RegionMemo:
         #: Tier 2: (region fp, machine fp, heuristic, dp, sc) -> entry,
         #: LRU-ordered (oldest first).
         self._entries: "OrderedDict[Tuple, _Level2Entry]" = OrderedDict()
-        #: Tier 1, cleared per group.
-        self._problems: Dict[Tuple, _ProblemEntry] = {}
-        self._ddgs: Dict[Tuple, _DdgEntry] = {}
+        #: Tier 1, cleared per group: (problem, copies, snapshot) per
+        #: (region, use_btr, sc) and (ddg, keys, snapshot) per
+        #: (region, latency model, sc).
+        self._problems: Dict[Tuple, Tuple] = {}
+        self._ddgs: Dict[Tuple, Tuple] = {}
         #: id(machine) -> (machine, fingerprint); the strong reference
         #: pins the id, so reuse cannot alias a collected model.
         self._machine_fps: Dict[int, Tuple[MachineModel, str]] = {}
@@ -292,7 +298,6 @@ class RegionMemo:
         options: ScheduleOptions,
         liveness: LivenessInfo,
         timer: StageTimer = NULL_TIMER,
-        tracer=NULL_TRACER,
     ):
         """Schedule ``region`` through the memo.
 
@@ -303,7 +308,7 @@ class RegionMemo:
         if self._bypass(region, options):
             self.bypasses += 1
             return schedule_region(region, machine, options, liveness,
-                                   timer=timer, tracer=tracer)
+                                   timer=timer)
 
         fingerprint = region_fingerprint(region, liveness)
         key = (
@@ -364,11 +369,10 @@ class RegionMemo:
                 # so the prepared problem is single-use: run the full
                 # reference pipeline fresh (tier 2 still caches it).
                 schedule = schedule_region(region, machine, options,
-                                           liveness, timer=timer,
-                                           tracer=tracer)
+                                           liveness, timer=timer)
             else:
-                schedule = self._shared_pipeline(region, machine, options,
-                                                 liveness, timer, tracer)
+                schedule = self._schedule_shared(region, machine, options,
+                                                 liveness, timer)
         snapshot = inner.deterministic_snapshot()
         if outer is not NULL_METRICS:
             outer.merge_snapshot(snapshot)
@@ -400,91 +404,36 @@ class RegionMemo:
 
     # ------------------------------------------------------------------
 
-    def _shared_pipeline(self, region, machine, options, liveness, timer,
-                         tracer):
-        """The reference stage sequence with tier-1 sharing in front."""
+    def _schedule_shared(self, region, machine, options, liveness, timer):
+        """The scheduler's back half on tier-1 shared front-half results."""
         active = current_metrics()
         sc = options.schedule_copies
 
         problem_key = (id(region), machine.use_btr, sc)
-        problem_entry = self._problems.get(problem_key)
-        if problem_entry is None:
-            build = MetricsRegistry()
-            with metrics_scope(build):
-                with timer.stage("prep"), tracer.span("prep"):
-                    problem = prepare_region(region, machine, liveness)
-                with timer.stage("renaming"), tracer.span("renaming"):
-                    copies = rename_region(problem, liveness)
-                    if sc:
-                        _insert_copy_ops(problem, copies)
-            problem_entry = _ProblemEntry(problem, copies,
-                                          build.deterministic_snapshot())
-            self._problems[problem_key] = problem_entry
+        shared = self._problems.get(problem_key)
+        if shared is None:
+            shared = self._problems[problem_key] = _build_shared(
+                prepare_problem, region, machine, liveness, sc, timer)
         else:
-            if problem_entry.used:
-                # Undo the placement state of the previous schedule; with
-                # dp excluded from tier 1 these are the only mutations
-                # list scheduling makes, so the reset problem is
-                # bit-identical to a freshly prepared one.
-                for sop in problem_entry.problem.sched_ops:
-                    sop.cycle = None
-                    sop.slot = None
-                    sop.merged_into = None
-                    sop.op.speculative = False
+            shared[0].reset_placement()
+        problem, copies, snapshot = shared
         if active is not NULL_METRICS:
-            active.merge_snapshot(problem_entry.snapshot)
-        problem = problem_entry.problem
-        copies = problem_entry.copies
+            active.merge_snapshot(snapshot)
 
         # Keyed by latency fingerprint, not full machine fingerprint:
         # DDG edges and priority keys read the machine only through
         # latencies, so 4U and 8U share one DDG per region.
         ddg_key = (id(region), self._latency_fp(machine), sc)
-        ddg_entry = self._ddgs.get(ddg_key)
-        if ddg_entry is None:
-            build = MetricsRegistry()
-            with metrics_scope(build):
-                with timer.stage("ddg"), tracer.span("ddg"):
-                    from repro.schedule.ddg import build_ddg
-
-                    ddg = build_ddg(problem, machine, liveness=liveness,
-                                    copies=copies)
-                    keys = all_priority_keys(problem, ddg)
-            ddg_entry = _DdgEntry(ddg, keys, build.deterministic_snapshot())
-            self._ddgs[ddg_key] = ddg_entry
+        shared = self._ddgs.get(ddg_key)
+        if shared is None:
+            shared = self._ddgs[ddg_key] = _build_shared(
+                _ddg_and_keys, problem, copies, machine, liveness, timer)
+        ddg, keys, snapshot = shared
         if active is not NULL_METRICS:
-            active.merge_snapshot(ddg_entry.snapshot)
+            active.merge_snapshot(snapshot)
 
-        if options.backend == "exact":
-            # The exact backend shares tier 1 wholesale: it resets
-            # placement between its internal heuristic runs with
-            # exactly the entry reset above, so the problem comes back
-            # in the same reusable state as after a list schedule.
-            from repro.exact.backend import exact_schedule_problem
-
-            with timer.stage("exact"), tracer.span("exact"):
-                schedule, _info = exact_schedule_problem(
-                    problem, ddg_entry.ddg, ddg_entry.keys, machine,
-                    options, copies,
-                )
-                _record_schedule_metrics(schedule)
-            problem_entry.used = True
-            return schedule
-        with timer.stage("ddg"):
-            order = priority_order(problem, ddg_entry.ddg, options.heuristic,
-                                   keys=ddg_entry.keys.get(options.heuristic))
-        with timer.stage("list_schedule"), tracer.span("list_schedule"):
-            schedule = _record_schedule_metrics(list_schedule(
-                problem,
-                ddg_entry.ddg,
-                order,
-                machine,
-                dominator_parallelism=False,
-                copies=copies,
-                max_cycles=options.max_cycles,
-            ))
-        problem_entry.used = True
-        return schedule
+        return schedule_problem(problem, ddg, copies, machine, liveness,
+                                options, timer, keys=keys)
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,19 @@ class ScheduleProblem:
     def guard_of(self, block: BasicBlock) -> Optional[Register]:
         return self.guards[block.bid]
 
+    def reset_placement(self) -> None:
+        """Undo the placement state a list schedule leaves behind.
+
+        Without dominator parallelism (whose merge rewrites consumer
+        operands) these are the only mutations scheduling makes, so the
+        reset problem is bit-identical to a freshly prepared one.
+        """
+        for sop in self.sched_ops:
+            sop.cycle = None
+            sop.slot = None
+            sop.merged_into = None
+            sop.op.speculative = False
+
 
 def _reserve_all_registers(problem: ScheduleProblem) -> None:
     cfg = problem.region.root.cfg

@@ -1,11 +1,18 @@
-"""The region scheduler entry point: Figure 3's three steps plus the
-supporting passes, glued together.
+"""The region scheduler: Figure 3's three steps plus the supporting
+passes, and the one module that knows their order.
 
     scheduleTreegion (treegion) {
         Form DDG for treegion
         sortDDGNodesBy*** (DDG)
         listSchedule (DDG)
     }
+
+The stages come in two halves.  The front half builds the problem:
+prep → renaming → optional copy ops (:func:`prepare_problem`), then the
+DDG (:func:`build_problem_ddg`).  The back half (:func:`schedule_problem`)
+orders, schedules, counts and certifies it.  ``schedule_region`` runs
+both fresh on every call; the region memo, the exact backend and the
+bound analysis call the halves directly.
 
 ``schedule_region`` works for any tree-shaped region, so the same code
 schedules basic blocks, SLRs, superblocks, and treegions — only the region
@@ -24,16 +31,11 @@ from repro.machine.model import MachineModel
 from repro.obs.metrics import NULL_METRICS, current_metrics
 from repro.obs.tracer import NULL_TRACER
 from repro.regions.region import Region, RegionPartition
-from repro.schedule.ddg import build_ddg
+from repro.schedule.ddg import DDG, build_ddg
 from repro.schedule.list_scheduler import list_schedule
-from repro.schedule.prep import prepare_region
-from repro.schedule.priorities import (
-    GLOBAL_WEIGHT,
-    Heuristic,
-    all_priority_keys,
-    priority_order,
-)
-from repro.schedule.renaming import rename_region
+from repro.schedule.prep import ScheduleProblem, prepare_region
+from repro.schedule.priorities import GLOBAL_WEIGHT, Heuristic, priority_order
+from repro.schedule.renaming import ExitCopy, rename_region
 from repro.schedule.schedule import RegionSchedule
 from repro.util.timing import NULL_TIMER, StageTimer
 
@@ -97,7 +99,6 @@ def schedule_region(
     options: Optional[ScheduleOptions] = None,
     liveness: Optional[LivenessInfo] = None,
     timer: StageTimer = NULL_TIMER,
-    key_cache: Optional[Dict[Heuristic, List[Tuple]]] = None,
     tracer=NULL_TRACER,
 ) -> RegionSchedule:
     """Schedule one region for the given machine.
@@ -105,17 +106,13 @@ def schedule_region(
     ``liveness`` may be supplied to avoid recomputing it per region when
     scheduling a whole partition.  The input IR is never modified.
 
-    ``timer`` records per-stage wall time (prep/renaming/ddg/list_schedule)
-    and ``tracer`` records the same stages as nested spans; per-decision
-    counters land in the active :func:`repro.obs.metrics.current_metrics`
-    registry.
-    ``key_cache`` shares priority keys across heuristic sweeps of the same
-    region: on the first call it is filled with every heuristic's keys (the
-    expensive ingredients — heights, exit counts — are computed once), and
-    later calls with a different heuristic reuse them.  Valid because
-    preparation is deterministic, so SchedOp indices line up run to run;
-    only useful when ``schedule_copies`` is fixed across the sweep (it adds
-    ops, changing the index space).
+    ``timer`` records per-stage wall time (prep/renaming/ddg/priority/
+    list_schedule) and ``tracer`` records the stages as nested spans;
+    per-decision counters land in the active
+    :func:`repro.obs.metrics.current_metrics` registry.
+
+    Every call runs every stage fresh: this is the reference route the
+    region memo is checked against.
     """
     options = options or ScheduleOptions()
     if options.backend not in ("heuristic", "exact"):
@@ -155,48 +152,82 @@ def schedule_region(
                      blocks=len(region.blocks),
                      machine=machine.name,
                      heuristic=options.heuristic):
-        with timer.stage("prep"), tracer.span("prep"):
-            problem = prepare_region(region, machine, liveness)
-        with timer.stage("renaming"), tracer.span("renaming"):
-            copies = rename_region(problem, liveness)
-            if options.schedule_copies:
-                _insert_copy_ops(problem, copies)
-        with timer.stage("ddg"), tracer.span("ddg"):
-            ddg = build_ddg(problem, machine, liveness=liveness,
-                            copies=copies)
-            if key_cache is not None and not options.schedule_copies:
-                if not key_cache:
-                    key_cache.update(all_priority_keys(problem, ddg))
-                keys = key_cache.get(options.heuristic)
-            else:
-                keys = None
-        if options.backend == "exact":
-            from repro.exact.backend import exact_schedule_problem
+        problem, copies = prepare_problem(region, machine, liveness,
+                                          options.schedule_copies,
+                                          timer, tracer)
+        ddg = build_problem_ddg(problem, copies, machine, liveness,
+                                timer, tracer)
+        return schedule_problem(problem, ddg, copies, machine, liveness,
+                                options, timer, tracer)
 
-            with timer.stage("exact"), tracer.span("exact"):
-                schedule, _info = exact_schedule_problem(
-                    problem, ddg, key_cache or None, machine, options,
-                    copies,
-                )
-                _record_schedule_metrics(schedule)
-        else:
-            with timer.stage("ddg"):
-                order = priority_order(problem, ddg, options.heuristic,
-                                       keys=keys)
-            with timer.stage("list_schedule"), tracer.span("list_schedule"):
-                schedule = _record_schedule_metrics(list_schedule(
-                    problem,
-                    ddg,
-                    order,
-                    machine,
-                    dominator_parallelism=options.dominator_parallelism,
-                    copies=copies,
-                    max_cycles=options.max_cycles,
-                ))
-        if options.certify or current_collector() is not None:
-            with timer.stage("certify"), tracer.span("certify"):
-                _certify(problem, ddg, schedule, machine, liveness, options)
-        return schedule
+
+def prepare_problem(
+    region: Region, machine: MachineModel, liveness: LivenessInfo,
+    schedule_copies: bool = False, timer: StageTimer = NULL_TIMER,
+    tracer=NULL_TRACER,
+) -> Tuple[ScheduleProblem, List[ExitCopy]]:
+    """Front half, part one: prep → renaming → optional copy ops.
+
+    Returns the prepared problem and its exit repair copies; with
+    ``schedule_copies`` the copies are also materialised as real ops.
+    """
+    with timer.stage("prep"), tracer.span("prep"):
+        problem = prepare_region(region, machine, liveness)
+    with timer.stage("renaming"), tracer.span("renaming"):
+        copies = rename_region(problem, liveness)
+        if schedule_copies:
+            _insert_copy_ops(problem, copies)
+    return problem, copies
+
+
+def build_problem_ddg(
+    problem: ScheduleProblem, copies: List[ExitCopy],
+    machine: MachineModel, liveness: LivenessInfo,
+    timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER,
+) -> DDG:
+    """Front half, part two: the DDG of a prepared problem."""
+    with timer.stage("ddg"), tracer.span("ddg"):
+        return build_ddg(problem, machine, liveness=liveness, copies=copies)
+
+
+def schedule_problem(
+    problem: ScheduleProblem, ddg: DDG, copies: List[ExitCopy],
+    machine: MachineModel, liveness: LivenessInfo, options: ScheduleOptions,
+    timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER,
+    keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
+) -> RegionSchedule:
+    """The back half: priority order → list schedule (or exact search)
+    → schedule counters → certify.
+
+    ``keys`` is an :func:`~repro.schedule.priorities.all_priority_keys`
+    dict computed on an identically prepared problem (preparation is
+    deterministic, so op indices line up); None computes the keys here.
+    The problem must be placement-clean on entry.
+    """
+    if options.backend == "exact":
+        from repro.exact.backend import exact_schedule_problem
+
+        with timer.stage("exact"), tracer.span("exact"):
+            schedule, _info = exact_schedule_problem(
+                problem, ddg, keys, machine, options, copies,
+            )
+            _record_schedule_metrics(schedule)
+    else:
+        with timer.stage("priority"), tracer.span("priority"):
+            order = priority_order(
+                problem, ddg, options.heuristic,
+                keys=keys.get(options.heuristic) if keys else None,
+            )
+        with timer.stage("list_schedule"), tracer.span("list_schedule"):
+            schedule = _record_schedule_metrics(list_schedule(
+                problem, ddg, order, machine,
+                dominator_parallelism=options.dominator_parallelism,
+                copies=copies, max_cycles=options.max_cycles,
+            ))
+    if options.certify or current_collector() is not None:
+        with timer.stage("certify"), tracer.span("certify"):
+            _certify(problem, ddg, schedule, machine, liveness, options)
+    return schedule
 
 
 def _certify(problem, ddg, schedule, machine, liveness, options) -> None:

@@ -10,8 +10,8 @@ The hot paths accept an *optional* timer; :data:`NULL_TIMER` is a shared
 no-op stand-in so instrumented code never branches on ``None``::
 
     timer = timer or NULL_TIMER
-    with timer.stage("ddg"):
-        ddg = build_ddg(...)
+    with timer.stage("list_schedule"):
+        schedule = list_schedule(...)
 
 ``NullTimer.stage`` returns a reusable singleton context manager and never
 touches the clock, so uninstrumented runs pay only an attribute call.

@@ -136,15 +136,22 @@ class TestGridHelpers:
         # legitimately skip every stage, so pin it off here.
         timer = StageTimer()
         evaluate_grid(GRID[:4], jobs=1, timer=timer, region_memo=False)
-        for stage in ("formation", "prep", "renaming", "ddg",
+        for stage in ("formation", "prep", "renaming", "ddg", "priority",
                       "list_schedule", "estimate"):
             assert stage in timer.totals, stage
+        # Each stage is entered once per region pipeline, so a stage's
+        # count is the number of times it ran (e.g. DDG builds).
+        pipeline = ("prep", "renaming", "ddg", "priority", "list_schedule")
+        assert len({timer.counts[stage] for stage in pipeline}) == 1
 
     def test_worker_timers_merged(self):
+        serial = StageTimer()
+        evaluate_grid(GRID[:4], jobs=1, timer=serial, region_memo=False)
         timer = StageTimer()
         evaluate_grid(GRID[:4], jobs=2, timer=timer, region_memo=False)
         assert "ddg" in timer.totals
         assert timer.total > 0
+        assert timer.counts == serial.counts
 
     def test_cell_result_as_dict(self):
         result = evaluate_grid(GRID[:1], jobs=1)[0]

@@ -7,6 +7,7 @@ contract against randomly generated programs;
 ``check_region_memo_identity`` in ``repro.validate.oracle``.)
 """
 
+import itertools
 import tempfile
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.core import form_treegions
 from repro.evaluation.engine import GridCell, evaluate_grid
 from repro.ir.analysis_cache import liveness_of
+from repro.ir.printer import format_operation
 from repro.machine import VLIW_4U, VLIW_8U
 from repro.obs.metrics import MetricsRegistry, metrics_scope
 from repro.schedule import ScheduleOptions, schedule_region
@@ -21,6 +23,7 @@ from repro.schedule.memo import RegionMemo, RegionSummary, global_memo
 from repro.schedule.priorities import HEURISTICS
 from repro.serve.store import ArtifactStore
 from repro.workloads.paper_example import build_paper_example
+from repro.workloads.specint import build_benchmark
 
 from tests.helpers import diamond_function
 
@@ -34,24 +37,50 @@ def _summary(schedule):
             schedule.merged_count, schedule.speculated_count)
 
 
+def _full(schedule):
+    """Everything a fresh RegionSchedule carries, in comparable form."""
+    return (
+        _summary(schedule),
+        [[(sop.index, sop.slot, sop.op.speculative, format_operation(sop.op))
+          for sop in bundle] for bundle in schedule.cycles],
+        [(record.exit.source.bid, record.cycle) for record in schedule.exits],
+        [(exit.source.bid, original, renamed)
+         for exit, original, renamed in schedule.copies],
+    )
+
+
+def _assert_cold_and_warm_match_direct(**flags):
+    # compress's first function speculates different ops under
+    # different heuristics, so stale placement state would show.
+    functions = [build_paper_example().entry_function,
+                 next(iter(build_benchmark("compress").functions()))]
+    memo = RegionMemo()
+    for fn in functions:
+        regions, liveness = _regions(fn)
+        for machine, heuristic, region in itertools.product(
+                (VLIW_4U, VLIW_8U), HEURISTICS, regions):
+            options = ScheduleOptions(heuristic=heuristic, **flags)
+            ref = schedule_region(region, machine, options, liveness)
+            cold = memo.schedule(region, machine, options, liveness)
+            warm = memo.schedule(region, machine, options, liveness)
+            assert _full(cold) == _full(ref)
+            assert _summary(warm) == _summary(ref)
+            assert isinstance(warm, RegionSummary)
+    stats = memo.stats()
+    assert stats["hits"] >= stats["misses"] > 0
+
+
 class TestIdentity:
     def test_cold_and_warm_match_direct(self):
-        fn = build_paper_example().entry_function
-        regions, liveness = _regions(fn)
-        memo = RegionMemo()
-        for machine in (VLIW_4U, VLIW_8U):
-            for heuristic in HEURISTICS:
-                options = ScheduleOptions(heuristic=heuristic)
-                for region in regions:
-                    ref = _summary(schedule_region(
-                        region, machine, options, liveness))
-                    cold = memo.schedule(region, machine, options, liveness)
-                    warm = memo.schedule(region, machine, options, liveness)
-                    assert _summary(cold) == ref
-                    assert _summary(warm) == ref
-                    assert isinstance(warm, RegionSummary)
-        stats = memo.stats()
-        assert stats["hits"] >= stats["misses"] > 0
+        _assert_cold_and_warm_match_direct()
+
+    # The other option sets that take the memo's tier-1 route.
+    @pytest.mark.parametrize("flags", [
+        {"schedule_copies": True},
+        {"backend": "exact", "exact_budget": 200},
+    ], ids=["schedule_copies", "exact"])
+    def test_cold_and_warm_match_direct_with(self, flags):
+        _assert_cold_and_warm_match_direct(**flags)
 
     def test_dominator_parallelism_memoizes(self):
         fn = build_paper_example().entry_function
