@@ -47,11 +47,7 @@ from repro.schedule.list_scheduler import (
     list_schedule,
 )
 from repro.schedule.prep import ScheduleProblem
-from repro.schedule.priorities import (
-    HEURISTICS,
-    all_priority_keys,
-    priority_order,
-)
+from repro.schedule.priorities import HEURISTICS, PriorityRanks
 from repro.schedule.schedule import RegionSchedule
 from repro.schedule.scheduler import ScheduleOptions
 from repro.exact.bnb import branch_and_bound
@@ -129,31 +125,29 @@ def _schedule_from_cycles(problem: ScheduleProblem, cycle_of: List[int],
 def exact_schedule_problem(
     problem: ScheduleProblem,
     ddg: DDG,
-    keys: Optional[Dict[str, List[Tuple]]],
+    priorities: Optional[PriorityRanks],
     machine: MachineModel,
     options: ScheduleOptions,
     copies,
 ) -> Tuple[RegionSchedule, ExactInfo]:
     """Solve one prepared problem exactly; returns (schedule, info).
 
-    ``keys`` is the ``all_priority_keys`` dict when the caller already
-    has one (memo tier 1); None computes it here.
+    ``priorities`` is the DDG's rank table when the caller keeps one
+    (memo tier 1); None builds one here.
     The problem must be placement-clean on entry; on return it holds
     the returned schedule's placement (like any pipeline run).
     """
     from repro.analysis.bounds import bounds_from_ddg
 
     ddg.finalize()
-    if keys is None:
-        keys = all_priority_keys(problem, ddg)
+    if priorities is None:
+        priorities = PriorityRanks(problem, ddg)
 
     heights: Dict[str, int] = {}
     best_heuristic = HEURISTICS[0]
     for heuristic in HEURISTICS:
-        order = priority_order(problem, ddg, heuristic,
-                               keys=keys.get(heuristic))
-        schedule = list_schedule(problem, ddg, order, machine,
-                                 copies=copies,
+        schedule = list_schedule(problem, ddg, priorities.rank(heuristic),
+                                 machine, copies=copies,
                                  max_cycles=options.max_cycles)
         heights[heuristic] = schedule.length
         if schedule.length < heights[best_heuristic]:
@@ -170,16 +164,14 @@ def exact_schedule_problem(
 
         result = BnBResult(None, incumbent_length, True, 0, 0)
     else:
-        n = len(problem.sched_ops)
-        sched_ops = problem.sched_ops
         result = branch_and_bound(
-            n,
+            len(problem.sched_ops),
             ddg.pred_ptr,
             ddg.succ_ptr,
             ddg.succ_dst,
             ddg.succ_lat,
-            [sop.op.is_memory for sop in sched_ops],
-            [sop.op.is_branch for sop in sched_ops],
+            ddg.is_mem,
+            ddg.is_br,
             machine.issue_width,
             machine.max_memory_per_cycle,
             machine.max_branches_per_cycle,
@@ -193,9 +185,8 @@ def exact_schedule_problem(
         # No improvement (or none found in budget): the final schedule
         # is the best heuristic's, re-run so bundles and slots are
         # bit-identical to the heuristic backend's output.
-        order = priority_order(problem, ddg, best_heuristic,
-                               keys=keys.get(best_heuristic))
-        schedule = list_schedule(problem, ddg, order, machine,
+        schedule = list_schedule(problem, ddg,
+                                 priorities.rank(best_heuristic), machine,
                                  copies=copies,
                                  max_cycles=options.max_cycles)
 

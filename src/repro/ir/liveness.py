@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.ir.cfg import CFG, BasicBlock
-from repro.ir.registers import Register
+from repro.ir.registers import Register, sort_key_of
 
 
 class LivenessInfo:
@@ -39,10 +39,16 @@ class LivenessInfo:
         return self._live_out.get(block.bid, frozenset())
 
     def live_in_sorted(self, block: BasicBlock) -> Tuple[Register, ...]:
-        """``sorted(live_in(block))`` as a cached tuple."""
+        """``sorted(live_in(block))`` as a cached tuple.
+
+        Sorted with ``key=``:attr:`Register.sort_key
+        <repro.ir.registers.Register.sort_key>` — the same order as the
+        register comparisons, without a Python-level call per comparison.
+        """
         cached = self._sorted_in.get(block.bid)
         if cached is None:
-            cached = tuple(sorted(self._live_in.get(block.bid, ())))
+            cached = tuple(sorted(self._live_in.get(block.bid, ()),
+                                  key=sort_key_of))
             self._sorted_in[block.bid] = cached
         return cached
 

@@ -36,7 +36,11 @@ def _parse_register(text: str) -> Register:
     match = _REG_RE.match(text)
     if not match:
         raise IRValidationError(f"bad register {text!r}")
-    return Register(_CLASS_BY_PREFIX[match.group(1)], int(match.group(2)))
+    try:
+        return Register(_CLASS_BY_PREFIX[match.group(1)],
+                        int(match.group(2)))
+    except ValueError as exc:
+        raise IRValidationError(f"bad register {text!r}: {exc}") from exc
 
 
 def _parse_operand(text: str):

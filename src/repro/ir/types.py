@@ -27,15 +27,6 @@ class RegClass(enum.Enum):
     PRED = "p"
     BTR = "b"
 
-    def __lt__(self, other: "RegClass"):
-        # Register is ordered "by class then index" (sorted liveness
-        # dumps, renaming determinism); that requires the class itself to
-        # be orderable when a mixed-class set is sorted — which first
-        # happens when a predicate is live across a block boundary.
-        if isinstance(other, RegClass):
-            return self.value < other.value
-        return NotImplemented
-
     @property
     def prefix(self) -> str:
         return self.value

@@ -38,11 +38,14 @@ converts the flat stream into CSR form — ``pred_ptr``/``pred_src``/
 ``pred_ptr[i]:pred_ptr[i+1]``, and likewise ``succ_ptr``/``succ_dst``/
 ``succ_lat`` and the control-edge arrays — which is what
 :func:`~repro.schedule.list_scheduler.list_schedule` and
-:meth:`DDG.compute_heights` iterate.  The legacy per-node adjacency lists
-(``preds``/``succs``/``control_succs``/``control_preds``) survive as lazy
-views for lint, tests, and diagnostics; they materialize on first access
-and are invalidated by further ``add_edge`` calls, so the scheduling hot
-path never allocates a single per-edge tuple.
+:meth:`DDG.compute_heights` iterate.  ``finalize`` also builds the
+per-op opcode-class arrays ``is_mem``/``is_br`` the list scheduler's
+resource checks read, once per DDG rather than once per schedule.  The
+legacy per-node adjacency lists (``preds``/``succs``/``control_succs``/
+``control_preds``) survive as lazy views for lint, tests, and
+diagnostics; they materialize on first access and are invalidated by
+further ``add_edge`` calls, so the scheduling hot path never allocates a
+single per-edge tuple.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.cfg import BasicBlock
 from repro.ir.liveness import LivenessInfo
-from repro.ir.registers import Register
+from repro.ir.registers import Register, sort_key_of
 from repro.ir.types import Opcode
 from repro.machine.model import MachineModel
 from repro.obs.metrics import NULL_METRICS, current_metrics
@@ -113,6 +116,9 @@ class DDG:
         self.csucc_ptr: List[int] = []
         self.csucc_dst: List[int] = []
         self.in_degree: List[int] = []
+        # Per-op opcode classes (populated by finalize()).
+        self.is_mem: List[bool] = []
+        self.is_br: List[bool] = []
         # Lazy legacy adjacency views.
         self._preds_view: Optional[List[List[Tuple[int, int]]]] = None
         self._succs_view: Optional[List[List[Tuple[int, int]]]] = None
@@ -244,6 +250,10 @@ class DDG:
             csucc_fill[src] = slot + 1
         self.cpred_ptr, self.cpred_src = cpred_ptr, cpred_src
         self.csucc_ptr, self.csucc_dst = csucc_ptr, csucc_dst
+
+        ops = [sop.op for sop in self.problem.sched_ops]
+        self.is_mem = [op.is_memory for op in ops]
+        self.is_br = [op.is_branch for op in ops]
 
         self._preds_view = None
         self._succs_view = None
@@ -425,7 +435,7 @@ def _live_at_exit(
         if original in live:
             live.discard(original)
             live.add(renamed)
-    return tuple(sorted(live))
+    return tuple(sorted(live, key=sort_key_of))
 
 
 def build_ddg(

@@ -48,7 +48,7 @@ import hashlib
 from typing import Dict, List, Optional
 
 from repro.ir.liveness import LivenessInfo
-from repro.ir.registers import Register
+from repro.ir.registers import Register, sort_key_of
 from repro.machine.model import MachineModel
 from repro.regions.region import Region
 
@@ -106,12 +106,15 @@ def latency_fingerprint(machine: MachineModel) -> str:
 class _Canonicalizer:
     """First-appearance renumbering maps for one region serialization."""
 
-    __slots__ = ("regs", "labels", "origins", "block_pos", "parts")
+    __slots__ = ("regs", "class_counts", "labels", "origins", "block_pos",
+                 "parts")
 
     def __init__(self, region: Region):
         #: Register -> dense per-class id ("r0", "p1", ...), assigned in
         #: op-stream appearance order.
         self.regs: Dict[Register, str] = {}
+        #: Class prefix -> registers of that class named so far.
+        self.class_counts: Dict[str, int] = {}
         #: External branch-target bid -> dense id ("x0", ...).
         self.labels: Dict[int, str] = {}
         #: Tail-duplication origin uid -> dense id ("o0", ...).
@@ -128,7 +131,8 @@ class _Canonicalizer:
         name = self.regs.get(register)
         if name is None:
             prefix = register.rclass.value
-            count = sum(1 for r in self.regs if r.rclass is register.rclass)
+            count = self.class_counts.get(prefix, 0)
+            self.class_counts[prefix] = count + 1
             name = f"{prefix}{count}"
             self.regs[register] = name
         return name
@@ -232,10 +236,12 @@ def region_fingerprint(region: Region,
                 if liveness is None:
                     live = "?"
                 else:
+                    # Intersect first: live sets span the whole
+                    # function, the region's registers are few.
                     live = ",".join(
-                        canon.reg(register)
-                        for register in liveness.live_into_edge_sorted(edge)
-                        if register in appearing
+                        canon.reg(register) for register in sorted(
+                            liveness.live_into_edge(edge) & appearing,
+                            key=sort_key_of)
                     )
                 parts.append(f"L:{live}")
 

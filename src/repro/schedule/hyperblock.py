@@ -35,7 +35,7 @@ from repro.regions.hyperblock import Hyperblock
 from repro.schedule.ddg import DDG, _live_at_exit
 from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, _Prep
-from repro.schedule.priorities import Heuristic, priority_order
+from repro.schedule.priorities import Heuristic, priority_ranks
 from repro.schedule.schedule import RegionSchedule
 
 
@@ -255,6 +255,6 @@ def schedule_hyperblock(
         liveness = compute_liveness(region.root.cfg)
     problem = prepare_hyperblock(region, machine, liveness)
     ddg = build_hyperblock_ddg(problem, machine, liveness)
-    order = priority_order(problem, ddg, heuristic)
-    return list_schedule(problem, ddg, order, machine, copies=[],
+    ranks = priority_ranks(problem, ddg, heuristic)
+    return list_schedule(problem, ddg, ranks, machine, copies=[],
                          max_cycles=max_cycles)

@@ -11,18 +11,24 @@ wide machine a large amount of speculation will occur due to abundant
 processor resources".
 
 Placement runs through a heap of *placeable* ops (all DDG predecessors
-already placed), keyed by priority rank.  For tree-shaped regions the four
-priority orders are almost topological over the DDG — along a path,
-dependence height never increases and block weight / exit count never
-increase either — so the heap nearly always pops ops in exact priority
-order; the heap exists to stay correct when floating-point profile weights
-break monotonicity by an ulp.
+already placed), keyed by priority rank.  The ranks come from
+:func:`~repro.schedule.priorities.priority_ranks`; on the region memo's
+path they are computed once per (DDG, heuristic) by
+:class:`~repro.schedule.priorities.PriorityRanks` and shared by every
+machine that shares the DDG, so a schedule call sorts nothing.
+
+For tree-shaped regions the four priority orders are almost topological
+over the DDG — along a path, dependence height never increases and block
+weight / exit count never increase either — so the heap nearly always
+pops ops in exact priority order; the heap exists to stay correct when
+floating-point profile weights break monotonicity by an ulp.
 
 The inner loop runs on the DDG's CSR arrays (see
 :meth:`repro.schedule.ddg.DDG.finalize`): predecessor edges of the popped
 op are the slice ``pred_ptr[i]:pred_ptr[i+1]`` of two parallel int lists,
 placement cycles live in a local ``cycle_of`` int array (merged ops record
 their survivor's cycle, so no ``effective_cycle`` chain is ever chased),
+the per-op opcode classes are the DDG's ``is_mem``/``is_br`` arrays,
 and the per-cycle resource table is three parallel int lists indexed by
 ``cycle - 1``.  No per-edge or per-op objects are touched until an op is
 actually placed.
@@ -56,16 +62,20 @@ from repro.schedule.schedule import ExitRecord, RegionSchedule, SchedOp
 def list_schedule(
     problem: ScheduleProblem,
     ddg: DDG,
-    order: List[SchedOp],
+    ranks: List[int],
     machine: MachineModel,
     dominator_parallelism: bool = False,
     copies: Optional[List[ExitCopy]] = None,
     max_cycles: int = 1_000_000,
 ) -> RegionSchedule:
-    """Place every op of ``order`` (the heuristic-sorted DDG node list)."""
+    """Place every op in heuristic order; ``ranks[i]`` is op i's
+    position in the heuristic-sorted DDG node list."""
     schedule = RegionSchedule(problem.region)
     copies = copies if copies is not None else []
-    merge_table: Dict[int, List[SchedOp]] = {}
+    # Duplicates by tail-duplication origin, filled only for the merge
+    # search of dominator parallelism.
+    merge_table: Optional[Dict[int, List[SchedOp]]] = \
+        {} if dominator_parallelism else None
 
     sched_ops = problem.sched_ops
     n = len(sched_ops)
@@ -73,10 +83,8 @@ def list_schedule(
     ddg.finalize()
     pred_ptr, pred_src, pred_lat = ddg.pred_ptr, ddg.pred_src, ddg.pred_lat
     succ_ptr, succ_dst = ddg.succ_ptr, ddg.succ_dst
+    is_mem, is_br = ddg.is_mem, ddg.is_br
 
-    ranks = [0] * n
-    for position, sop in enumerate(order):
-        ranks[sop.index] = position
     waiting = list(ddg.in_degree)
     ready = [(ranks[i], i) for i in range(n) if waiting[i] == 0]
     heapify(ready)
@@ -85,8 +93,6 @@ def list_schedule(
     #: merged (0 = not yet placed).  Merge survivors are always already
     #: placed, so a merged op's entry is final the moment it is written.
     cycle_of = [0] * n
-    is_mem = [sop.op.is_memory for sop in sched_ops]
-    is_br = [sop.op.is_branch for sop in sched_ops]
 
     issue_width = machine.issue_width
     max_mem = machine.max_memory_per_cycle
@@ -107,7 +113,7 @@ def list_schedule(
                 earliest = candidate
 
         survivor = None
-        if dominator_parallelism:
+        if merge_table is not None:
             survivor = _find_merge_target(problem, ddg, merge_table, sop)
         if survivor is not None:
             _merge(problem, ddg, schedule, copies, sop, survivor)
@@ -140,8 +146,8 @@ def list_schedule(
                 branches[slot] += 1
             schedule.place(sop, cycle)
             cycle_of[index] = cycle
-            if (sop.source is not None and sop.op.guard is None
-                    and sop.op.can_speculate):
+            if (merge_table is not None and sop.source is not None
+                    and sop.op.guard is None and sop.op.can_speculate):
                 merge_table.setdefault(sop.source.origin, []).append(sop)
 
         placed += 1
@@ -243,16 +249,13 @@ def _record_exits(problem: ScheduleProblem, schedule: RegionSchedule) -> None:
 def _mark_speculation(problem: ScheduleProblem, schedule: RegionSchedule) -> None:
     """Mark ops issued before their home guard resolves as speculative."""
     count = 0
-    for sop in schedule.all_ops():
-        if sop.source is None or sop.exit is not None:
+    sched_ops = problem.sched_ops
+    for index, guard_index in problem.speculation_guards():
+        sop = sched_ops[index]
+        guard_cycle = sched_ops[guard_index].effective_cycle
+        if guard_cycle is None:
             continue
-        guard = problem.guards.get(sop.home.bid)
-        if guard is None:
-            continue  # root ops are never speculative
-        guard_def = problem.guard_def.get(guard)
-        if guard_def is None or guard_def.effective_cycle is None:
-            continue
-        if sop.cycle is not None and sop.cycle <= guard_def.effective_cycle:
+        if sop.cycle is not None and sop.cycle <= guard_cycle:
             sop.op.speculative = True
             count += 1
     schedule.speculated_count = count

@@ -20,11 +20,13 @@ The stage order lives in :mod:`repro.schedule.scheduler` alone.
   machine of a row that agrees on it — both paper machines do.  Before
   each reuse :meth:`~repro.schedule.prep.ScheduleProblem.reset_placement`
   undoes the previous schedule's placement;
-* the DDG and the four heuristics' priority keys
-  (:func:`~repro.schedule.priorities.all_priority_keys`, handed to the
-  back half) read the machine only through its latency table
+* the DDG and the heuristics' priority ranks
+  (a :class:`~repro.schedule.priorities.PriorityRanks`, handed to the
+  back half, which fills in each heuristic's ranks on first request)
+  read the machine only through its latency table
   (:func:`~repro.schedule.fingerprint.latency_fingerprint`), so they are
-  built once per (region, latency model) — 4U and 8U share one build.
+  built once per (region, latency model) — 4U and 8U share one DDG and
+  one sort per heuristic.
 
 **Tier 2 — content-addressed result memo** (global, optionally
 disk-backed): the full pipeline result is a pure function of
@@ -90,7 +92,7 @@ from repro.schedule.fingerprint import (
 # Not called here; bound only because perfbench's tracing test checks
 # that its wrappers replace this module's import-time binding.
 from repro.schedule.prep import prepare_region  # noqa: F401
-from repro.schedule.priorities import all_priority_keys
+from repro.schedule.priorities import PriorityRanks
 from repro.schedule.scheduler import (
     ScheduleOptions,
     build_problem_ddg,
@@ -189,11 +191,10 @@ def _build_shared(step, *args) -> Tuple:
     return results + (build.deterministic_snapshot(),)
 
 
-def _ddg_and_keys(problem, copies, machine, liveness, timer) -> Tuple:
-    """The DDG plus every heuristic's priority keys (shared by a row)."""
+def _ddg_and_priorities(problem, copies, machine, liveness, timer) -> Tuple:
+    """The DDG plus its (empty) priority rank table, shared by a row."""
     ddg = build_problem_ddg(problem, copies, machine, liveness, timer)
-    with timer.stage("priority"):
-        return ddg, all_priority_keys(problem, ddg)
+    return ddg, PriorityRanks(problem, ddg)
 
 
 class RegionMemo:
@@ -212,7 +213,7 @@ class RegionMemo:
         #: LRU-ordered (oldest first).
         self._entries: "OrderedDict[Tuple, _Level2Entry]" = OrderedDict()
         #: Tier 1, cleared per group: (problem, copies, snapshot) per
-        #: (region, use_btr, sc) and (ddg, keys, snapshot) per
+        #: (region, use_btr, sc) and (ddg, priorities, snapshot) per
         #: (region, latency model, sc).
         self._problems: Dict[Tuple, Tuple] = {}
         self._ddgs: Dict[Tuple, Tuple] = {}
@@ -421,19 +422,20 @@ class RegionMemo:
             active.merge_snapshot(snapshot)
 
         # Keyed by latency fingerprint, not full machine fingerprint:
-        # DDG edges and priority keys read the machine only through
+        # DDG edges and priority ranks read the machine only through
         # latencies, so 4U and 8U share one DDG per region.
         ddg_key = (id(region), self._latency_fp(machine), sc)
         shared = self._ddgs.get(ddg_key)
         if shared is None:
             shared = self._ddgs[ddg_key] = _build_shared(
-                _ddg_and_keys, problem, copies, machine, liveness, timer)
-        ddg, keys, snapshot = shared
+                _ddg_and_priorities, problem, copies, machine, liveness,
+                timer)
+        ddg, priorities, snapshot = shared
         if active is not NULL_METRICS:
             active.merge_snapshot(snapshot)
 
         return schedule_problem(problem, ddg, copies, machine, liveness,
-                                options, timer, keys=keys)
+                                options, timer, priorities=priorities)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ into a :class:`~repro.schedule.schedule.SchedOp`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.errors import SchedulingError
 from repro.ir.analysis_cache import register_bounds_of
@@ -65,6 +65,7 @@ class ScheduleProblem:
         #: Cycle (op) at which each block's guard is defined, for
         #: speculation statistics; filled by the scheduler.
         self.guard_def: Dict[Register, SchedOp] = {}
+        self._speculation_guards: Optional[List[Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------
 
@@ -85,6 +86,29 @@ class ScheduleProblem:
 
     def guard_of(self, block: BasicBlock) -> Optional[Register]:
         return self.guards[block.bid]
+
+    def speculation_guards(self) -> List[Tuple[int, int]]:
+        """(op index, guard-def op index) for every op that may count as
+        speculative: a region op (not an exit branch) homed below a
+        guard whose defining op is in the problem.
+
+        Computed on the first call — by the first schedule, after
+        preparation has added every op — and kept, because one prepared
+        problem serves several machines and heuristics.
+        """
+        if self._speculation_guards is None:
+            pairs = []
+            for sop in self.sched_ops:
+                if sop.source is None or sop.exit is not None:
+                    continue
+                guard = self.guards.get(sop.home.bid)
+                if guard is None:
+                    continue  # root ops are never speculative
+                guard_def = self.guard_def.get(guard)
+                if guard_def is not None:
+                    pairs.append((sop.index, guard_def.index))
+            self._speculation_guards = pairs
+        return self._speculation_guards
 
     def reset_placement(self) -> None:
         """Undo the placement state a list schedule leaves behind.

@@ -18,6 +18,13 @@ ready ops in sorted order.  Quoting the paper:
 
 All four fall back to op creation order as the final tie-break, making
 schedules fully deterministic.
+
+A heuristic's keys are stored *negated* (lower = more urgent), so its
+order is one ascending ``sorted`` over op indices, stable on ties.  The
+list scheduler consumes that order as a rank array
+(:func:`priority_ranks`).  Keys and ranks read the machine only through
+the DDG's heights, so :class:`PriorityRanks` computes each heuristic's
+ranks once per DDG and every machine sharing the DDG reuses them.
 """
 
 from __future__ import annotations
@@ -54,25 +61,26 @@ def _exit_counts(problem: ScheduleProblem) -> Dict[int, int]:
 def priority_keys(
     problem: ScheduleProblem, ddg: DDG, heuristic: Heuristic
 ) -> List[Tuple]:
-    """Per-op sort keys (higher = more urgent), indexed like sched_ops."""
+    """Per-op sort keys (lower = more urgent: every component of the
+    heuristic negated), indexed like sched_ops."""
     heights = ddg.heights
     if heuristic == DEP_HEIGHT:
-        return [(heights[sop.index],) for sop in problem.sched_ops]
+        return [(-heights[sop.index],) for sop in problem.sched_ops]
     if heuristic == EXIT_COUNT:
         counts = _exit_counts(problem)
         return [
-            (counts[sop.home.bid], heights[sop.index])
+            (-counts[sop.home.bid], -heights[sop.index])
             for sop in problem.sched_ops
         ]
     if heuristic == GLOBAL_WEIGHT:
         return [
-            (sop.home.weight, heights[sop.index])
+            (-sop.home.weight, -heights[sop.index])
             for sop in problem.sched_ops
         ]
     if heuristic == WEIGHTED_COUNT:
         counts = _exit_counts(problem)
         return [
-            (sop.home.weight, counts[sop.home.bid], heights[sop.index])
+            (-sop.home.weight, -counts[sop.home.bid], -heights[sop.index])
             for sop in problem.sched_ops
         ]
     raise ValueError(
@@ -95,7 +103,7 @@ def all_priority_keys(
     counts = _exit_counts(problem)
     sops = problem.sched_ops
     per_op = [
-        (heights[sop.index], counts[sop.home.bid], sop.home.weight)
+        (-heights[sop.index], -counts[sop.home.bid], -sop.home.weight)
         for sop in sops
     ]
     return {
@@ -117,23 +125,60 @@ def priority_order(
     ``keys`` lets a caller that already holds this heuristic's keys (e.g.
     from :func:`all_priority_keys` on an identically-prepared problem —
     preparation is deterministic, so op indices line up) skip recomputing
-    them.
+    them.  The sort is stable over op indices, so ties fall to op
+    creation order.
     """
     if keys is None:
         keys = priority_keys(problem, ddg, heuristic)
-    return sorted(
-        problem.sched_ops,
-        key=lambda sop: tuple(-component for component in keys[sop.index])
-        + (sop.index,),
-    )
+    sched_ops = problem.sched_ops
+    return [sched_ops[index]
+            for index in sorted(range(len(sched_ops)), key=keys.__getitem__)]
 
 
 def priority_ranks(
-    problem: ScheduleProblem, ddg: DDG, heuristic: Heuristic
+    problem: ScheduleProblem,
+    ddg: DDG,
+    heuristic: Heuristic,
+    keys: Optional[List[Tuple]] = None,
 ) -> List[int]:
-    """rank[i] = position of op i in the sorted list (0 = most urgent)."""
-    order = priority_order(problem, ddg, heuristic)
+    """rank[i] = position of op i in the sorted list (0 = most urgent).
+
+    What :func:`~repro.schedule.list_scheduler.list_schedule` consumes;
+    ``keys`` as for :func:`priority_order`.
+    """
+    order = priority_order(problem, ddg, heuristic, keys)
     ranks = [0] * len(order)
     for position, sop in enumerate(order):
         ranks[sop.index] = position
     return ranks
+
+
+class PriorityRanks:
+    """Every heuristic's rank array over one DDG, each computed on first
+    request.
+
+    The region memo keeps one beside each tier-1 DDG, so the machines
+    sharing that DDG (the paper's 4U and 8U) share one key computation
+    and one sort per heuristic; the exact backend reads all four.
+    """
+
+    __slots__ = ("problem", "ddg", "keys", "ranks")
+
+    def __init__(self, problem: ScheduleProblem, ddg: DDG):
+        self.problem = problem
+        self.ddg = ddg
+        #: :func:`all_priority_keys`, computed with the first ranks.
+        self.keys: Optional[Dict[Heuristic, List[Tuple]]] = None
+        #: Heuristic -> ranks computed so far.
+        self.ranks: Dict[Heuristic, List[int]] = {}
+
+    def rank(self, heuristic: Heuristic) -> List[int]:
+        """The heuristic's ranks (see :func:`priority_ranks`)."""
+        ranks = self.ranks.get(heuristic)
+        if ranks is None:
+            if self.keys is None:
+                self.keys = all_priority_keys(self.problem, self.ddg)
+            ranks = self.ranks[heuristic] = priority_ranks(
+                self.problem, self.ddg, heuristic,
+                self.keys.get(heuristic))
+        return ranks

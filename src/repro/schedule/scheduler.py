@@ -22,7 +22,7 @@ former differs between the paper's experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.analysis_cache import liveness_of
 from repro.ir.liveness import LivenessInfo
@@ -34,7 +34,12 @@ from repro.regions.region import Region, RegionPartition
 from repro.schedule.ddg import DDG, build_ddg
 from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import ScheduleProblem, prepare_region
-from repro.schedule.priorities import GLOBAL_WEIGHT, Heuristic, priority_order
+from repro.schedule.priorities import (
+    GLOBAL_WEIGHT,
+    Heuristic,
+    PriorityRanks,
+    priority_ranks,
+)
 from repro.schedule.renaming import ExitCopy, rename_region
 from repro.schedule.schedule import RegionSchedule
 from repro.util.timing import NULL_TIMER, StageTimer
@@ -194,33 +199,38 @@ def schedule_problem(
     problem: ScheduleProblem, ddg: DDG, copies: List[ExitCopy],
     machine: MachineModel, liveness: LivenessInfo, options: ScheduleOptions,
     timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER,
-    keys: Optional[Dict[Heuristic, List[Tuple]]] = None,
+    priorities: Optional[PriorityRanks] = None,
 ) -> RegionSchedule:
-    """The back half: priority order → list schedule (or exact search)
+    """The back half: priority ranks → list schedule (or exact search)
     → schedule counters → certify.
 
-    ``keys`` is an :func:`~repro.schedule.priorities.all_priority_keys`
-    dict computed on an identically prepared problem (preparation is
-    deterministic, so op indices line up); None computes the keys here.
-    The problem must be placement-clean on entry.
+    ``priorities`` is a :class:`~repro.schedule.priorities.PriorityRanks`
+    over ``ddg`` that the caller keeps across calls (preparation is
+    deterministic, so op indices line up); ranks it already holds are
+    reused, and the ``priority`` stage runs only to compute missing
+    ones.  None computes this heuristic's ranks alone.  The problem must
+    be placement-clean on entry.
     """
     if options.backend == "exact":
         from repro.exact.backend import exact_schedule_problem
 
         with timer.stage("exact"), tracer.span("exact"):
             schedule, _info = exact_schedule_problem(
-                problem, ddg, keys, machine, options, copies,
+                problem, ddg, priorities, machine, options, copies,
             )
             _record_schedule_metrics(schedule)
     else:
-        with timer.stage("priority"), tracer.span("priority"):
-            order = priority_order(
-                problem, ddg, options.heuristic,
-                keys=keys.get(options.heuristic) if keys else None,
-            )
+        heuristic = options.heuristic
+        ranks = None if priorities is None else \
+            priorities.ranks.get(heuristic)
+        if ranks is None:
+            with timer.stage("priority"), tracer.span("priority"):
+                ranks = (priority_ranks(problem, ddg, heuristic)
+                         if priorities is None
+                         else priorities.rank(heuristic))
         with timer.stage("list_schedule"), tracer.span("list_schedule"):
             schedule = _record_schedule_metrics(list_schedule(
-                problem, ddg, order, machine,
+                problem, ddg, ranks, machine,
                 dominator_parallelism=options.dominator_parallelism,
                 copies=copies, max_cycles=options.max_cycles,
             ))

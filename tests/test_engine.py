@@ -144,6 +144,22 @@ class TestGridHelpers:
         pipeline = ("prep", "renaming", "ddg", "priority", "list_schedule")
         assert len({timer.counts[stage] for stage in pipeline}) == 1
 
+    def test_memo_ranks_once_per_ddg_and_heuristic(self):
+        # Memo on, every heuristic on both machines of one group: 4U and
+        # 8U share a DDG, so `priority` may run at most once per
+        # (region, latency model, heuristic), i.e. per (DDG build,
+        # heuristic) — never once per schedule.
+        from repro.schedule.memo import RegionMemo
+
+        cells = [GridCell("compress", "treegion", machine, heuristic)
+                 for machine in ("4U", "8U") for heuristic in HEURISTICS]
+        timer = StageTimer()
+        evaluate_grid(cells, jobs=1, timer=timer, region_memo=RegionMemo())
+        ddg_builds = timer.counts["ddg"]
+        assert ddg_builds > 0
+        assert timer.counts["priority"] <= ddg_builds * len(HEURISTICS)
+        assert timer.counts["list_schedule"] > timer.counts["priority"]
+
     def test_worker_timers_merged(self):
         serial = StageTimer()
         evaluate_grid(GRID[:4], jobs=1, timer=serial, region_memo=False)

@@ -315,3 +315,7 @@ class TestTextRoundTrip:
     def test_parse_rejects_garbage(self):
         with pytest.raises(IRValidationError):
             parse_program("program entry=main\nfunc main() {\n  block bb1 weight=0\n    r1 = frobnicate r2\n}\n")
+
+    def test_parse_rejects_out_of_range_register(self):
+        with pytest.raises(IRValidationError):
+            parse_program("program entry=main\nfunc main() {\n  block bb1 weight=0\n    r1 = mov r18446744073709551616\n    ret\n}\n")

@@ -52,7 +52,7 @@ from repro.schedule import ScheduleOptions, schedule_region
 from repro.schedule.ddg import build_ddg
 from repro.schedule.list_scheduler import list_schedule
 from repro.schedule.prep import prepare_region
-from repro.schedule.priorities import GLOBAL_WEIGHT, HEURISTICS, priority_order
+from repro.schedule.priorities import GLOBAL_WEIGHT, HEURISTICS, priority_ranks
 from repro.schedule.renaming import rename_region
 from repro.util.errors import IRValidationError, ScheduleCertificationError
 from repro.workloads.minic_programs import build_minic_program
@@ -82,8 +82,8 @@ def _triple(fn, machine=VLIW_4U, heuristic=GLOBAL_WEIGHT, dp=False,
     problem = prepare_region(region, machine, liveness)
     copies = rename_region(problem, liveness)
     ddg = build_ddg(problem, machine, liveness=liveness, copies=copies)
-    order = priority_order(problem, ddg, heuristic)
-    schedule = list_schedule(problem, ddg, order, machine,
+    ranks = priority_ranks(problem, ddg, heuristic)
+    schedule = list_schedule(problem, ddg, ranks, machine,
                              dominator_parallelism=dp, copies=copies)
     return problem, ddg, schedule, liveness
 
