@@ -3,15 +3,18 @@
 Runs the paper's evaluation grid through the engine in two
 configurations —
 
-* **uninstrumented**: ``NULL_TIMER`` / ``NULL_METRICS`` / ``NULL_TRACER``
-  (the default for every caller that does not opt in), and
-* **instrumented**: a real :class:`StageTimer`, :class:`MetricsRegistry`,
-  and :class:`Tracer` collecting the full span tree;
+* **uninstrumented**: ``NULL_METRICS`` / ``NULL_TRACER`` (the default
+  for every caller that does not opt in: no scope is open, so every
+  span is the shared no-op), and
+* **instrumented**: a real :class:`MetricsRegistry` and a
+  :class:`Tracer` collecting the full span tree, every scheduler stage
+  included, and folding it into the stage table;
 
 — verifies both produce identical numbers, bounds the instrumentation
 overhead, and writes ``BENCH_obs.json`` at the repo root (wall times,
-overhead ratio, per-stage timings, headline pipeline counters, histogram
-summaries) so future PRs can diff the perf trajectory.  The Chrome
+overhead ratio, the stage table's self seconds and counts, headline
+pipeline counters, histogram summaries) so the perf trajectory can be
+diffed.  The Chrome
 trace from the instrumented run is saved to
 ``benchmarks/results/obs_trace.json`` as a viewable artifact.
 
@@ -43,7 +46,6 @@ import time
 
 from repro.evaluation.engine import default_grid, evaluate_grid
 from repro.obs import MetricsRegistry, Tracer
-from repro.util.timing import StageTimer
 
 from benchmarks.conftest import RESULTS_DIR, emit_table
 
@@ -103,12 +105,11 @@ def test_obs_snapshot():
         return None, evaluate_grid(grid, jobs=1, region_memo=False)
 
     def instrumented_run():
-        timer = StageTimer()
         metrics = MetricsRegistry()
         tracer = Tracer()
-        rows = evaluate_grid(grid, jobs=1, timer=timer, metrics=metrics,
-                             tracer=tracer, region_memo=False)
-        return (timer, metrics, tracer), rows
+        rows = evaluate_grid(grid, jobs=1, metrics=metrics, tracer=tracer,
+                             region_memo=False)
+        return (metrics, tracer), rows
 
     best_plain = best_instr = None
     for _ in range(BEST_OF):
@@ -119,7 +120,7 @@ def test_obs_snapshot():
         if best_instr is None or run[0] < best_instr[0]:
             best_instr = run
     t_plain, _, plain = best_plain
-    t_instr, (timer, metrics, tracer), instrumented = best_instr
+    t_instr, (metrics, tracer), instrumented = best_instr
 
     # Observability must never change the answer.
     for a, b in zip(plain, instrumented):
@@ -130,6 +131,10 @@ def test_obs_snapshot():
     assert metrics.counters["engine.cells"] == len(grid)
     spans = tracer.finished_spans()
     assert spans and all(s.end is not None for s in spans)
+    # Every scheduler stage is a span under the grid, and the stage
+    # table is the fold of exactly those spans.
+    assert tracer.stage_counts["list_schedule"] > 0
+    assert len(spans) == sum(tracer.stage_counts.values())
 
     overhead = t_instr / t_plain if t_plain > 0 else 1.0
     assert overhead < MAX_OVERHEAD_RATIO, (
@@ -149,9 +154,9 @@ def test_obs_snapshot():
         "span_count": len(spans),
         "stage_seconds": {
             name: round(seconds, 3)
-            for name, seconds in sorted(timer.totals.items())
+            for name, seconds in sorted(tracer.stage_seconds.items())
         },
-        "stage_counts": dict(sorted(timer.counts.items())),
+        "stage_counts": dict(sorted(tracer.stage_counts.items())),
         "counters": {
             name: metrics.counters[name]
             for name in HEADLINE_COUNTERS if name in metrics.counters

@@ -9,7 +9,8 @@ treegion-td(2.0)} × {4U, 8U} × 4 heuristics) three ways —
 * engine parallel (``jobs=4``): the multiprocessing path;
 
 — verifies all three produce bit-identical numbers, and writes the wall
-times plus per-stage breakdown to ``BENCH_eval.json`` at the repo root.
+times plus the serial run's stage table to ``BENCH_eval.json`` at the
+repo root.
 
 The ``seed_serial_seconds`` reference was measured on this container at
 the seed commit (before the engine, caches, and hot-path work) by
@@ -26,7 +27,7 @@ import pathlib
 import time
 
 from repro.evaluation.engine import default_grid, evaluate_cell, evaluate_grid
-from repro.util.timing import StageTimer
+from repro.obs import Tracer
 
 from benchmarks.conftest import emit_table
 
@@ -47,9 +48,9 @@ def test_perf_engine_snapshot():
     percell = [evaluate_cell(cell) for cell in grid]
     t_percell = time.perf_counter() - t0
 
-    timer = StageTimer()
+    tracer = Tracer(keep_spans=False)
     t0 = time.perf_counter()
-    serial = evaluate_grid(grid, jobs=1, timer=timer)
+    serial = evaluate_grid(grid, jobs=1, tracer=tracer)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -82,9 +83,9 @@ def test_perf_engine_snapshot():
         "speedup_jobs4_vs_seed": round(SEED_SERIAL_SECONDS / t_parallel, 2),
         "stage_seconds": {
             name: round(seconds, 3)
-            for name, seconds in sorted(timer.totals.items())
+            for name, seconds in sorted(tracer.stage_seconds.items())
         },
-        "stage_counts": dict(sorted(timer.counts.items())),
+        "stage_counts": dict(sorted(tracer.stage_counts.items())),
     }
     BENCH_FILE.write_text(json.dumps(snapshot, indent=2) + "\n")
 

@@ -30,8 +30,7 @@ from repro.evaluation.engine import (
 )
 from repro.evaluation.schemes import Scheme, SchemeSpec, SchemeSpecError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.util.timing import NULL_TIMER, StageTimer
+from repro.obs.tracer import NULL_TRACER, Tracer, span, trace_scope
 
 SchemeLike = Union[str, SchemeSpec, Scheme]
 MachineLike = Union[str, MachineModel]
@@ -97,7 +96,6 @@ def evaluate_grid(
     programs: Optional[Dict[str, Program]] = None,
     program_texts: Optional[Dict[str, str]] = None,
     jobs: int = 1,
-    timer: StageTimer = NULL_TIMER,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
     region_memo=None,
@@ -109,14 +107,15 @@ def evaluate_grid(
     the CPU count) fans out over a worker pool — both bit-identical to
     per-cell evaluation.  A supplied ``metrics`` registry collects the
     pipeline counters (identically on either path, worker registries
-    merged in); a ``tracer`` records the run as spans.  ``region_memo``
+    merged in); a ``tracer`` records the run as spans and folds them,
+    worker tables included, into its stage table.  ``region_memo``
     and ``region_store`` control the region-level result cache — see
     :func:`repro.evaluation.engine.evaluate_grid` (memoization is on by
     default and bit-identical; pass ``region_memo=False`` to disable).
     """
     return _evaluate_grid(
         cells, jobs=jobs, programs=programs, program_texts=program_texts,
-        timer=timer, metrics=metrics, tracer=tracer,
+        metrics=metrics, tracer=tracer,
         region_memo=region_memo, region_store=region_store,
     )
 
@@ -130,7 +129,6 @@ def cached_evaluate(
     programs: Optional[Dict[str, Program]] = None,
     program_texts: Optional[Dict[str, str]] = None,
     jobs: int = 1,
-    timer: StageTimer = NULL_TIMER,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
     region_memo=None,
@@ -163,13 +161,13 @@ def cached_evaluate(
     if store is None and cache_dir is None:
         return evaluate_grid(
             cells, programs=programs, program_texts=program_texts,
-            jobs=jobs, timer=timer, metrics=metrics, tracer=tracer,
+            jobs=jobs, metrics=metrics, tracer=tracer,
         )
     opened = store is None
     if opened:
         store = ArtifactStore(cache_dir, max_mb=cache_max_mb)
     try:
-        with tracer.span("cached_evaluate", cells=len(cells)):
+        with trace_scope(tracer), span("cached_evaluate", cells=len(cells)):
             keys: List[str] = []
             text_cache: Dict[str, str] = dict(program_texts or {})
             for cell in cells:
@@ -198,8 +196,7 @@ def cached_evaluate(
                 fresh = evaluate_grid(
                     [cells[i] for i in miss_indices],
                     programs=programs, program_texts=program_texts,
-                    jobs=jobs, timer=timer, metrics=metrics,
-                    tracer=tracer, region_memo=region_memo,
+                    jobs=jobs, metrics=metrics, region_memo=region_memo,
                     region_store=region_spec,
                 )
                 with metrics_scope(metrics):

@@ -129,25 +129,34 @@ def _region_memo_arg(args):
     return None if getattr(args, "region_memo", True) else False
 
 
-def _obs_for(args):
-    """(metrics, tracer) per the command's --metrics/--trace flags."""
+def _obs_for(args, stages: bool = False):
+    """(metrics, tracer) per the command's --metrics/--trace flags.
+
+    ``stages``: the command prints the stage table, so it always gets a
+    tracer; it keeps span objects only when --trace exports them.
+    """
     from repro.obs import (
         NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer,
     )
 
     metrics = MetricsRegistry() if getattr(args, "metrics", None) \
         else NULL_METRICS
-    tracer = Tracer() if getattr(args, "trace", None) else NULL_TRACER
+    if getattr(args, "trace", None):
+        tracer = Tracer()
+    elif stages:
+        tracer = Tracer(keep_spans=False)
+    else:
+        tracer = NULL_TRACER
     return metrics, tracer
 
 
-def _write_obs(args, metrics, tracer, timer=None) -> None:
+def _write_obs(args, metrics, tracer) -> None:
     """Write the files the --metrics/--trace flags asked for."""
     from repro.obs import NullMetrics, write_observability_json
 
     metrics_path = getattr(args, "metrics", None)
     if metrics_path and not isinstance(metrics, NullMetrics):
-        write_observability_json(metrics_path, metrics, timer)
+        write_observability_json(metrics_path, metrics, tracer)
         print(f"metrics written to {metrics_path}", file=sys.stderr)
     trace_path = getattr(args, "trace", None)
     if trace_path and hasattr(tracer, "write_chrome"):
@@ -166,7 +175,7 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     from repro.ir.analysis_cache import record_cache_metrics
-    from repro.obs import metrics_scope
+    from repro.obs import metrics_scope, span, trace_scope
 
     machine = _machine(args.machine)
     program = _load_program(args.file, optimize=args.optimize)
@@ -179,9 +188,8 @@ def cmd_run(args) -> int:
         profile_program(program, inputs=[inputs])
     options = ScheduleOptions(heuristic=args.heuristic,
                               dominator_parallelism=True)
-    with metrics_scope(metrics), \
-            tracer.span("simulate", scheme=args.scheme,
-                        machine=args.machine):
+    with metrics_scope(metrics), trace_scope(tracer), \
+            span("simulate", scheme=args.scheme, machine=args.machine):
         result, simulator = api.simulate(program, _scheme(args.scheme),
                                          machine, inputs, options)
     simulator.record_metrics(metrics)
@@ -228,7 +236,6 @@ def cmd_schedule(args) -> int:
 def cmd_bench(args) -> int:
     from repro.schedule.priorities import DEP_HEIGHT
     from repro.api import GridCell, SchemeSpec
-    from repro.util.timing import StageTimer
     from repro.workloads.specint import BENCHMARK_NAMES
 
     names = args.benchmarks.split(",") if args.benchmarks else BENCHMARK_NAMES
@@ -246,17 +253,16 @@ def cmd_bench(args) -> int:
         for name in names
         for scheme in schemes
     ]
-    metrics, tracer = _obs_for(args)
-    timer = StageTimer()
+    metrics, tracer = _obs_for(args, stages=True)
     if args.cache_dir:
         results = api.cached_evaluate(
             grid, cache_dir=args.cache_dir,
             cache_max_mb=args.cache_max_mb, jobs=args.jobs,
-            timer=timer, metrics=metrics, tracer=tracer,
+            metrics=metrics, tracer=tracer,
             region_memo=_region_memo_arg(args),
         )
     else:
-        results = api.evaluate_grid(grid, jobs=args.jobs, timer=timer,
+        results = api.evaluate_grid(grid, jobs=args.jobs,
                                     metrics=metrics, tracer=tracer,
                                     region_memo=_region_memo_arg(args))
     baselines = {r.cell.benchmark: r.time for r in results[:len(names)]}
@@ -268,29 +274,27 @@ def cmd_bench(args) -> int:
         print(f"{name:10s} " + " ".join(cells))
     if args.timings:
         print()
-        print(timer.format())
+        print(tracer.format_stages())
     if args.timings_json:
         from repro.obs import write_observability_json
 
-        write_observability_json(args.timings_json, metrics, timer)
+        write_observability_json(args.timings_json, metrics, tracer)
         print(f"timings written to {args.timings_json}", file=sys.stderr)
-    _write_obs(args, metrics, tracer, timer)
+    _write_obs(args, metrics, tracer)
     return 0
 
 
 def cmd_report(args) -> int:
     from repro.evaluation.report import generate_report
-    from repro.util.timing import StageTimer
 
     names = args.benchmarks.split(",") if args.benchmarks else None
-    metrics, tracer = _obs_for(args)
-    timer = StageTimer()
-    sys.stdout.write(generate_report(names, jobs=args.jobs, timer=timer,
+    metrics, tracer = _obs_for(args, stages=True)
+    sys.stdout.write(generate_report(names, jobs=args.jobs,
                                      metrics=metrics, tracer=tracer,
                                      cache_dir=args.cache_dir,
                                      cache_max_mb=args.cache_max_mb,
                                      region_memo=_region_memo_arg(args)))
-    _write_obs(args, metrics, tracer, timer)
+    _write_obs(args, metrics, tracer)
     return 0
 
 
@@ -345,7 +349,6 @@ def cmd_trace(args) -> int:
     """Run the full pipeline under the tracer; export Chrome trace JSON."""
     from repro.ir.analysis_cache import record_cache_metrics
     from repro.obs import MetricsRegistry, Tracer, write_observability_json
-    from repro.util.timing import StageTimer
 
     program = _load_program(args.file, optimize=args.optimize)
     if args.args is not None:
@@ -355,10 +358,8 @@ def cmd_trace(args) -> int:
                               dominator_parallelism=True)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    timer = StageTimer()
     result = evaluate_program(program, _scheme(args.scheme), machine,
-                              options, timer=timer, metrics=metrics,
-                              tracer=tracer)
+                              options, metrics=metrics, tracer=tracer)
     record_cache_metrics(metrics)
     tracer.write_chrome(args.out)
     print(f"trace written to {args.out} "
@@ -367,7 +368,7 @@ def cmd_trace(args) -> int:
         tracer.write_jsonl(args.jsonl)
         print(f"spans written to {args.jsonl}", file=sys.stderr)
     if args.metrics_out:
-        write_observability_json(args.metrics_out, metrics, timer)
+        write_observability_json(args.metrics_out, metrics, tracer)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     print(f"estimated time: {result.time:g} weighted cycles "
           f"({args.scheme}, {machine})")
@@ -962,7 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (1 = serial, 0 = one per CPU)")
     p.add_argument("--timings", action="store_true",
-                   help="print per-stage wall time after the table")
+                   help="print the stage table (self time per span) after "
+                        "the speedup table")
     p.add_argument("--timings-json", default=None, metavar="FILE",
                    dest="timings_json",
                    help="write per-stage timings (and counters, with "

@@ -47,10 +47,15 @@ from repro.ir.function import Program
 from repro.machine.model import MachineModel
 from repro.machine.presets import PAPER_MACHINES, SCALAR_1U
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, metrics_scope
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import (
+    NULL_TRACER,
+    Tracer,
+    current_tracer,
+    span,
+    trace_scope,
+)
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions, schedule_region
-from repro.util.timing import NULL_TIMER, StageTimer
 from repro.evaluation.schemes import Scheme, SchemeSpec
 
 #: Machines addressable by name from a grid cell.
@@ -185,7 +190,6 @@ def _schedule_function_partition(
     final_ops: int,
     cell: GridCell,
     machine: MachineModel,
-    timer: StageTimer,
     memo=None,
 ) -> _FunctionPartial:
     """Schedule one function's formed partition for one cell.
@@ -199,15 +203,11 @@ def _schedule_function_partition(
     for region in partition:
         liveness = liveness_of(region.root.cfg)
         if memo is not None:
-            schedules.append(
-                memo.schedule(region, machine, options, liveness,
-                              timer=timer)
-            )
+            schedules.append(memo.schedule(region, machine, options,
+                                           liveness))
             continue
-        schedules.append(
-            schedule_region(region, machine, options, liveness, timer=timer)
-        )
-    with timer.stage("estimate"):
+        schedules.append(schedule_region(region, machine, options, liveness))
+    with span("estimate"):
         time = sum(s.weighted_time for s in schedules)
     return _FunctionPartial(
         time=time,
@@ -302,7 +302,6 @@ def _worker_region_store(directory: str, max_mb: float):
 def evaluate_cell(
     cell: GridCell,
     program: Optional[Program] = None,
-    timer: StageTimer = NULL_TIMER,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
 ) -> CellResult:
@@ -316,24 +315,23 @@ def evaluate_cell(
 
         program = build_benchmark(cell.benchmark)
     scheme = build_scheme(cell.scheme)
-    with metrics_scope(metrics), \
-            tracer.span("evaluate_cell", benchmark=cell.benchmark,
-                        scheme=cell.scheme, machine=cell.machine,
-                        heuristic=cell.heuristic):
+    with metrics_scope(metrics), trace_scope(tracer), \
+            span("evaluate_cell", benchmark=cell.benchmark,
+                 scheme=cell.scheme, machine=cell.machine,
+                 heuristic=cell.heuristic):
         metrics.inc("engine.cells")
-        with timer.stage("clone"):
+        with span("clone"):
             worked = clone_program(program) if scheme.mutates else program
         partials: List[_FunctionPartial] = []
         for original, function in zip(program.functions(),
                                       worked.functions()):
-            with timer.stage("formation"), \
-                    tracer.span("formation", function=function.name):
+            with span("formation", function=function.name):
                 partition = scheme.form(function.cfg)
             partials.append(
                 _schedule_function_partition(
                     partition, original.cfg.total_ops,
                     function.cfg.total_ops,
-                    cell, machine_by_name(cell.machine), timer,
+                    cell, machine_by_name(cell.machine),
                 )
             )
         return _merge_partials(cell, partials)
@@ -346,10 +344,8 @@ def evaluate_cell(
 def _evaluate_grid_serial(
     cells: Sequence[GridCell],
     programs: Optional[Dict[str, Program]],
-    timer: StageTimer,
     texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
-    tracer=NULL_TRACER,
     memo=None,
 ) -> List[CellResult]:
     results: List[Optional[CellResult]] = [None] * len(cells)
@@ -359,25 +355,24 @@ def _evaluate_grid_serial(
 
     with metrics_scope(metrics):
         for (bench, scheme_spec), indices in groups.items():
-            with tracer.span("group", benchmark=bench, scheme=scheme_spec,
-                             cells=len(indices)):
+            with span("group", benchmark=bench, scheme=scheme_spec,
+                      cells=len(indices)):
                 program = _resolve_program(bench, programs, texts)
                 scheme = build_scheme(scheme_spec)
                 # Clone and form once: formation is machine- and
                 # heuristic-independent, and scheduling never mutates the
                 # IR, so every cell of the group schedules the same
                 # partitions.
-                with timer.stage("clone"):
+                with span("clone"):
                     worked = clone_program(program) if scheme.mutates \
                         else program
                 formed = []  # (partition, orig_ops, final_ops) per func
-                with tracer.span("formation"):
-                    for original, function in zip(program.functions(),
-                                                  worked.functions()):
-                        with timer.stage("formation"):
-                            partition = scheme.form(function.cfg)
-                        formed.append((partition, original.cfg.total_ops,
-                                       function.cfg.total_ops))
+                for original, function in zip(program.functions(),
+                                              worked.functions()):
+                    with span("formation", function=function.name):
+                        partition = scheme.form(function.cfg)
+                    formed.append((partition, original.cfg.total_ops,
+                                   function.cfg.total_ops))
                 if memo is not None:
                     # Tier-1 sharing is id-keyed; scope it to this
                     # group's freshly formed regions.
@@ -386,12 +381,12 @@ def _evaluate_grid_serial(
                     cell = cells[index]
                     machine = machine_by_name(cell.machine)
                     metrics.inc("engine.cells")
-                    with tracer.span("cell", machine=cell.machine,
-                                     heuristic=cell.heuristic):
+                    with span("cell", machine=cell.machine,
+                              heuristic=cell.heuristic):
                         partials = [
                             _schedule_function_partition(
                                 partition, original_ops, final_ops, cell,
-                                machine, timer, memo=memo,
+                                machine, memo=memo,
                             )
                             for partition, original_ops, final_ops in formed
                         ]
@@ -453,6 +448,12 @@ def _run_task(task: _Task):
     shipped IR text) inside the worker; each worker process caches per
     benchmark, so rebuilding is paid once per benchmark per worker, not
     per task.
+
+    The task records its spans into a tracer of its own and ships that
+    tracer's stage table back: a worker forked while the parent had a
+    scope open never writes into the tracer it inherited.  The ``group``
+    and ``cell`` spans mirror the serial path's, so both paths fold into
+    the same rows.
     """
     bench, scheme_spec, indexed_cells, lo, hi, text, memo_spec = task
     if text is not None:
@@ -462,7 +463,7 @@ def _run_task(task: _Task):
 
         program = build_benchmark(bench)
     scheme = build_scheme(scheme_spec)
-    timer = StageTimer()
+    tracer = Tracer(keep_spans=False)
     metrics = MetricsRegistry()
     memo = None
     before = None
@@ -475,26 +476,30 @@ def _run_task(task: _Task):
             memo.attach_store(_worker_region_store(directory, max_mb))
         memo.begin_group()
         before = memo.stats()
-    with metrics_scope(metrics):
+    with metrics_scope(metrics), trace_scope(tracer), \
+            span("group", benchmark=bench, scheme=scheme_spec,
+                 cells=len(indexed_cells)):
         formed = []  # (partition, original_ops, final_ops) per function
         for function in list(program.functions())[lo:hi]:
-            with timer.stage("clone"):
+            with span("clone"):
                 worked = clone_function(function) if scheme.mutates \
                     else function
-            with timer.stage("formation"):
+            with span("formation", function=function.name):
                 partition = scheme.form(worked.cfg)
             formed.append((partition, function.cfg.total_ops,
                            worked.cfg.total_ops))
         out = []
         for index, cell in indexed_cells:
             machine = machine_by_name(cell.machine)
-            partials = [
-                _schedule_function_partition(
-                    partition, original_ops, final_ops, cell, machine,
-                    timer, memo=memo,
-                )
-                for partition, original_ops, final_ops in formed
-            ]
+            with span("cell", machine=cell.machine,
+                      heuristic=cell.heuristic):
+                partials = [
+                    _schedule_function_partition(
+                        partition, original_ops, final_ops, cell, machine,
+                        memo=memo,
+                    )
+                    for partition, original_ops, final_ops in formed
+                ]
             out.append((index, partials))
     memo_stats = None
     if memo is not None:
@@ -512,8 +517,8 @@ def _run_task(task: _Task):
         # depends on work distribution, unlike the event counters).
         metrics.gauge("memo.entries", after["entries"], mode="max")
         metrics.gauge("memo.bytes", after["bytes"], mode="max")
-    return (out, lo, (timer.totals, timer.counts), metrics.snapshot(),
-            memo_stats)
+    return (out, lo, (tracer.stage_seconds, tracer.stage_counts),
+            metrics.snapshot(), memo_stats)
 
 
 def _split_cells(cells: Sequence[GridCell], jobs: int,
@@ -557,10 +562,8 @@ def _split_cells(cells: Sequence[GridCell], jobs: int,
 def _evaluate_grid_parallel(
     cells: Sequence[GridCell],
     jobs: int,
-    timer: StageTimer,
     texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
-    tracer=NULL_TRACER,
     memo=None,
     region_stats: Optional[Dict[str, int]] = None,
 ) -> List[CellResult]:
@@ -575,23 +578,22 @@ def _evaluate_grid_parallel(
     # Per-cell partial lists keyed by slice start, merged in function
     # order below so the float accumulation matches the serial path.
     by_cell: Dict[int, Dict[int, List[_FunctionPartial]]] = {}
-    with tracer.span("pool", jobs=jobs, tasks=len(tasks)):
-        with multiprocessing.Pool(processes=jobs) as pool:
-            for out, lo, (totals, counts), snapshot, memo_stats in \
-                    pool.imap_unordered(_run_task, tasks):
-                for index, partials in out:
-                    by_cell.setdefault(index, {})[lo] = partials
-                for name, seconds in totals.items():
-                    timer.add(name, seconds, counts.get(name, 0))
-                metrics.merge_snapshot(snapshot)
-                if memo_stats is not None and region_stats is not None:
-                    region_stats["hits"] += memo_stats["hits"]
-                    region_stats["misses"] += memo_stats["misses"]
-                    region_stats["store_hits"] += memo_stats["store_hits"]
-                    region_stats["bytes"] = max(region_stats["bytes"],
-                                                memo_stats["bytes"])
-                tracer.event("task_done", slice_start=lo,
-                             cells=len(out))
+    tracer = current_tracer()
+    tracer.event("pool", jobs=jobs, tasks=len(tasks))
+    with multiprocessing.Pool(processes=jobs) as pool:
+        for out, lo, table, snapshot, memo_stats in \
+                pool.imap_unordered(_run_task, tasks):
+            for index, partials in out:
+                by_cell.setdefault(index, {})[lo] = partials
+            tracer.merge(*table)
+            metrics.merge_snapshot(snapshot)
+            if memo_stats is not None and region_stats is not None:
+                region_stats["hits"] += memo_stats["hits"]
+                region_stats["misses"] += memo_stats["misses"]
+                region_stats["store_hits"] += memo_stats["store_hits"]
+                region_stats["bytes"] = max(region_stats["bytes"],
+                                            memo_stats["bytes"])
+            tracer.event("task_done", slice_start=lo, cells=len(out))
     # The per-cell counter lives in the parent: a group split into
     # several function slices revisits each cell once per slice in the
     # workers, so counting there would overcount.
@@ -613,7 +615,6 @@ def evaluate_grid(
     cells: Iterable[GridCell],
     programs: Optional[Dict[str, Program]] = None,
     jobs: int = 1,
-    timer: StageTimer = NULL_TIMER,
     program_texts: Optional[Dict[str, str]] = None,
     metrics=NULL_METRICS,
     tracer=NULL_TRACER,
@@ -630,8 +631,6 @@ def evaluate_grid(
             programs by name and cannot receive arbitrary programs).
         jobs: 1 = serial with shared-work caching (default); N > 1 = a
             pool of N worker processes; 0 = one worker per CPU.
-        timer: Accumulates per-stage wall time across the whole grid
-            (worker timers are merged in).
         program_texts: Optional benchmark-name → textual IR dump map
             (:func:`repro.ir.printer.format_program`).  Unlike
             ``programs``, text *does* cross the process boundary, so
@@ -642,9 +641,12 @@ def evaluate_grid(
             pipeline counters.  Worker registries merge in commutatively,
             so serial and parallel runs of the same grid report identical
             counters/histograms (``deterministic_snapshot``).
-        tracer: A :class:`repro.obs.tracer.Tracer` recording group/cell
-            spans (serial) or pool/task events (parallel; worker-side
-            spans do not cross the process boundary).
+        tracer: A :class:`repro.obs.tracer.Tracer` installed as the
+            active trace scope: it records the group/cell/stage spans of
+            the serial path, and the parallel path folds each worker's
+            stage table into it (worker-side spans themselves do not
+            cross the process boundary).  With none given, spans go to
+            an outer scope if one is open.
         region_memo: The region-level result cache
             (:class:`repro.schedule.memo.RegionMemo`).  ``None`` (the
             default) uses the process-global memo unless
@@ -670,11 +672,11 @@ def evaluate_grid(
     stats = {"hits": 0, "misses": 0, "store_hits": 0, "bytes": 0}
     before = memo.stats() if memo is not None else None
     try:
-        with tracer.span("evaluate_grid", cells=len(cells), jobs=jobs):
+        with trace_scope(tracer), \
+                span("evaluate_grid", cells=len(cells), jobs=jobs):
             if jobs <= 1 or not cells:
-                return _evaluate_grid_serial(cells, programs, timer,
-                                             program_texts, metrics, tracer,
-                                             memo=memo)
+                return _evaluate_grid_serial(cells, programs, program_texts,
+                                             metrics, memo=memo)
 
             custom = set(programs) if programs is not None else set()
             pooled = [c for c in cells if c.benchmark not in custom]
@@ -684,18 +686,17 @@ def evaluate_grid(
                 pooled_indices = [i for i, c in enumerate(cells)
                                   if c.benchmark not in custom]
                 for position, result in enumerate(
-                    _evaluate_grid_parallel(pooled, jobs, timer,
-                                            program_texts, metrics, tracer,
-                                            memo=memo, region_stats=stats)
+                    _evaluate_grid_parallel(pooled, jobs, program_texts,
+                                            metrics, memo=memo,
+                                            region_stats=stats)
                 ):
                     merged[pooled_indices[position]] = result
             if local:
                 local_indices = [i for i, c in enumerate(cells)
                                  if c.benchmark in custom]
                 for position, result in enumerate(
-                    _evaluate_grid_serial(local, programs, timer,
-                                          program_texts, metrics, tracer,
-                                          memo=memo)
+                    _evaluate_grid_serial(local, programs, program_texts,
+                                          metrics, memo=memo)
                 ):
                     merged[local_indices[position]] = result
             return [merged[i] for i in range(len(cells))]

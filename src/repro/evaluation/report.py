@@ -16,12 +16,11 @@ from repro.core import form_treegions
 from repro.interp import profile_program
 from repro.machine import VLIW_4U, universal_machine
 from repro.obs.metrics import NULL_METRICS, NullMetrics
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, current_tracer, span, trace_scope
 from repro.regions import form_slrs, partition_stats
 from repro.schedule import ScheduleOptions
 from repro.schedule.priorities import DEP_HEIGHT, HEURISTICS
 from repro.util.stats import geometric_mean as _geomean
-from repro.util.timing import NULL_TIMER
 from repro.evaluation.engine import GridCell, evaluate_grid
 from repro.evaluation.schemes import bb_scheme, treegion_scheme
 from repro.evaluation.variation import variation_study
@@ -47,14 +46,12 @@ class ReportBuilder:
     """
 
     def __init__(self, benchmarks: Optional[List[str]] = None,
-                 jobs: int = 1, timer=NULL_TIMER, metrics=NULL_METRICS,
-                 tracer=NULL_TRACER, cache_dir: Optional[str] = None,
+                 jobs: int = 1, metrics=NULL_METRICS,
+                 cache_dir: Optional[str] = None,
                  cache_max_mb: float = 256.0, region_memo=None):
         self.benchmarks = benchmarks or list(BENCHMARK_NAMES)
         self.jobs = jobs
-        self.timer = timer
         self.metrics = metrics
-        self.tracer = tracer
         self.cache_dir = cache_dir
         self.cache_max_mb = cache_max_mb
         self.region_memo = region_memo
@@ -73,11 +70,9 @@ class ReportBuilder:
             return cached_evaluate(
                 grid, cache_dir=self.cache_dir,
                 cache_max_mb=self.cache_max_mb, jobs=self.jobs,
-                timer=self.timer, metrics=self.metrics,
-                tracer=self.tracer, region_memo=self.region_memo,
+                metrics=self.metrics, region_memo=self.region_memo,
             )
-        return evaluate_grid(grid, jobs=self.jobs, timer=self.timer,
-                             metrics=self.metrics, tracer=self.tracer,
+        return evaluate_grid(grid, jobs=self.jobs, metrics=self.metrics,
                              region_memo=self.region_memo)
 
     def _baseline(self, name: str) -> float:
@@ -343,19 +338,20 @@ class ReportBuilder:
             from repro.ir.analysis_cache import record_cache_metrics
 
             record_cache_metrics(self.metrics)
-        have_timer = self.timer is not NULL_TIMER and self.timer.counts
+        tracer = current_tracer()
+        have_stages = tracer is not NULL_TRACER and tracer.stage_counts
         have_metrics = (not isinstance(self.metrics, NullMetrics)
                         and (self.metrics.counters or self.metrics.gauges))
-        if not have_timer and not have_metrics:
+        if not have_stages and not have_metrics:
             return
         self.lines.append("## Observability")
         self.lines.append("")
-        if have_timer:
-            self.lines.append("Per-stage wall time (all studies, worker "
-                              "timers merged in):")
+        if have_stages:
+            self.lines.append("Per-span self time (all studies, worker "
+                              "tables merged in):")
             self.lines.append("")
             self.lines.append("```")
-            self.lines.append(self.timer.format())
+            self.lines.append(tracer.format_stages())
             self.lines.append("```")
             self.lines.append("")
         if have_metrics:
@@ -373,39 +369,39 @@ class ReportBuilder:
 
 
 def generate_report(benchmarks: Optional[List[str]] = None,
-                    jobs: int = 1, timer=NULL_TIMER, metrics=NULL_METRICS,
+                    jobs: int = 1, metrics=NULL_METRICS,
                     tracer=NULL_TRACER, cache_dir: Optional[str] = None,
                     cache_max_mb: float = 256.0, region_memo=None) -> str:
     """Run every study and return the markdown report.
 
     ``jobs`` parallelizes the grid-shaped studies (see
     :func:`repro.evaluation.engine.evaluate_grid`).  Passing a
-    ``timer``/``metrics`` pair appends an Observability section with
-    per-stage timings and pipeline counters for the grid studies
+    ``tracer``/``metrics`` pair appends an Observability section with
+    the tracer's stage table and pipeline counters for the grid studies
     (region-memo hit/miss/byte gauges included).  ``cache_dir`` routes
     the grid studies through the persistent artifact store
     (:mod:`repro.serve.store`), so repeated reports reuse each other's
     schedule results.  ``region_memo=False`` disables the region-level
     result cache (see :func:`repro.evaluation.engine.evaluate_grid`).
     """
-    builder = ReportBuilder(benchmarks, jobs=jobs, timer=timer,
-                            metrics=metrics, tracer=tracer,
+    builder = ReportBuilder(benchmarks, jobs=jobs, metrics=metrics,
                             cache_dir=cache_dir,
                             cache_max_mb=cache_max_mb,
                             region_memo=region_memo)
-    with tracer.span("report.region_statistics"):
-        builder.add_region_statistics()
-    with tracer.span("report.heuristic_speedups"):
-        builder.add_heuristic_speedups("4U")
-    with tracer.span("report.scheme_comparison"):
-        builder.add_scheme_comparison("8U")
-    with tracer.span("report.variation_study"):
-        builder.add_variation_study()
-    with tracer.span("report.dynamic_comparison"):
-        builder.add_dynamic_comparison()
-    with tracer.span("report.analysis"):
-        builder.add_analysis()
-    with tracer.span("report.gap"):
-        builder.add_gap()
-    builder.add_observability()
+    with trace_scope(tracer):
+        with span("report.region_statistics"):
+            builder.add_region_statistics()
+        with span("report.heuristic_speedups"):
+            builder.add_heuristic_speedups("4U")
+        with span("report.scheme_comparison"):
+            builder.add_scheme_comparison("8U")
+        with span("report.variation_study"):
+            builder.add_variation_study()
+        with span("report.dynamic_comparison"):
+            builder.add_dynamic_comparison()
+        with span("report.analysis"):
+            builder.add_analysis()
+        with span("report.gap"):
+            builder.add_gap()
+        builder.add_observability()
     return builder.render()

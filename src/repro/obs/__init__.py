@@ -1,12 +1,13 @@
 """Observability: hierarchical tracing + deterministic metrics.
 
-See :mod:`repro.obs.tracer` and :mod:`repro.obs.metrics` for the two
-in-process halves, and :mod:`repro.obs.distributed` for cross-process
-trace-context propagation and the ``merge_traces()`` collector;
-DESIGN.md ("Observability", "Fleet observability") describes how the
-evaluation engine merges worker registries, why serial and parallel
-runs report identical counters, and how a fleet request becomes one
-merged Perfetto timeline.
+See :mod:`repro.obs.tracer` (spans, their stage table, and the
+:func:`span`/:func:`trace_scope` pair) and :mod:`repro.obs.metrics`
+(counters and :func:`metrics_scope`) for the two in-process halves, and
+:mod:`repro.obs.distributed` for cross-process trace-context propagation
+and the ``merge_traces()`` collector; DESIGN.md ("Observability", "Fleet
+observability") describes how the evaluation engine merges worker
+registries, why serial and parallel runs report identical counters, and
+how a fleet request becomes one merged Perfetto timeline.
 """
 
 from repro.obs.distributed import (
@@ -30,7 +31,15 @@ from repro.obs.metrics import (
     observability_snapshot,
     write_observability_json,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    Span,
+    Tracer,
+    current_tracer,
+    span,
+    trace_scope,
+)
 
 __all__ = [
     "Histogram",
@@ -46,6 +55,9 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "current_tracer",
+    "span",
+    "trace_scope",
     "DistributedTracer",
     "NullDistributedTracer",
     "NULL_DTRACER",

@@ -5,7 +5,7 @@ layer: the pipeline counts *what happened* (ops speculated, blocks tail-
 duplicated, registers minted by renaming, duplicates merged by dominator
 parallelism, simulator squashes) into named metrics, and the evaluation
 engine merges worker registries back into the parent exactly like
-:meth:`repro.util.timing.StageTimer.merge` merges stage timers.
+:meth:`repro.obs.tracer.Tracer.merge` folds in worker stage tables.
 
 **Determinism contract.**  Counters and histograms are *deterministic*:
 they only record algorithmic events, merging is commutative integer
@@ -48,6 +48,8 @@ import json
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.obs.tracer import NullTracer
 
 
 class Histogram:
@@ -404,21 +406,21 @@ def metrics_scope(registry):
 # Shared serialization helpers (CLI --metrics / --timings-json files)
 
 
-def observability_snapshot(metrics=None, timer=None) -> Dict[str, object]:
+def observability_snapshot(metrics=None, tracer=None) -> Dict[str, object]:
     """One JSON document folding a metrics registry and a
-    :class:`~repro.util.timing.StageTimer` together (the ``--metrics``
-    and ``--timings-json`` file format)."""
+    :class:`~repro.obs.tracer.Tracer`'s stage table together (the
+    ``--metrics`` and ``--timings-json`` file format)."""
     snap: Dict[str, object] = {}
     if metrics is not None and not isinstance(metrics, NullMetrics):
         snap.update(metrics.snapshot())
-    if timer is not None:
-        snap["stages"] = timer.as_dict()
-        snap["total_seconds"] = timer.total
+    if tracer is not None and not isinstance(tracer, NullTracer):
+        snap["stages"] = tracer.stages()
+        snap["total_seconds"] = tracer.stage_total
     return snap
 
 
-def write_observability_json(path: str, metrics=None, timer=None) -> None:
+def write_observability_json(path: str, metrics=None, tracer=None) -> None:
     with open(path, "w") as handle:
-        json.dump(observability_snapshot(metrics, timer), handle, indent=2,
+        json.dump(observability_snapshot(metrics, tracer), handle, indent=2,
                   sort_keys=True)
         handle.write("\n")

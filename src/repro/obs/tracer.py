@@ -1,9 +1,19 @@
-"""Hierarchical tracing: nested spans with wall time and attributes.
+"""Hierarchical tracing: nested spans, their stage table, and the scope.
 
 A :class:`Tracer` records *spans* — named, attributed intervals nested by
 a span stack — so one run of the pipeline can be replayed as a tree
-("evaluate_program" → "function f" → "formation" / "schedule_region" →
-"prep"/"renaming"/"ddg"/"list_schedule").  Two export formats:
+("evaluate_program" → "function" → "formation" / "schedule_region" →
+"prep"/"renaming"/"ddg"/"priority"/"list_schedule").
+
+**The stage table.**  As each span closes the tracer folds it into a
+per-name table of (self seconds, count): a span's *self* time is its
+duration minus the durations of its direct children.  The stages the
+scheduler opens are leaves, so their rows are their wall time; in a
+serial run the rows add up to the outermost span.  Pool workers ship
+their table back and the parent folds it in with :meth:`Tracer.merge`.
+``--timings``, ``--timings-json`` and the report's Observability section
+print this table.  ``Tracer(keep_spans=False)`` keeps only the table;
+the default also keeps every :class:`Span` for export:
 
 * **JSONL** (:meth:`Tracer.write_jsonl`): one JSON object per finished
   span with its id, parent id, depth, relative start/end, and attributes
@@ -12,10 +22,15 @@ a span stack — so one run of the pipeline can be replayed as a tree
   :meth:`Tracer.write_chrome`): the ``{"traceEvents": [...]}`` format
   that loads directly in ``chrome://tracing`` and Perfetto.
 
-Uninstrumented code paths use :data:`NULL_TRACER`, a shared no-op
-mirroring :data:`repro.util.timing.NULL_TIMER`: ``span()`` returns a
-reusable singleton context manager and never reads the clock, so passing
-no tracer costs an attribute call per instrumentation point.
+**The scope.**  Pipeline code does not take a tracer parameter: it calls
+:func:`span`, which records into the innermost tracer installed by
+:func:`trace_scope` (the entry points that take ``tracer=`` open it, as
+they open :func:`~repro.obs.metrics.metrics_scope` for ``metrics=``).
+With no scope active :func:`span` returns a shared no-op context manager
+that never reads the clock, so an uninstrumented run pays one function
+call per instrumentation point.  :data:`NULL_TRACER` is the no-op
+stand-in for objects that hold a tracer attribute (the serve layer,
+whose threads cannot share a process-global scope).
 
 Timestamps come from ``time.perf_counter`` (injectable for tests);
 exports normalize to the first span's start, so absolute clock epochs
@@ -26,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
@@ -33,7 +49,8 @@ from typing import Callable, Dict, List, Optional
 class Span:
     """One finished (or still-open) traced interval."""
 
-    __slots__ = ("sid", "parent", "name", "depth", "start", "end", "args")
+    __slots__ = ("sid", "parent", "name", "depth", "start", "end", "args",
+                 "child")
 
     def __init__(self, sid: int, parent: Optional[int], name: str,
                  depth: int, start: float, args: Dict[str, object]):
@@ -44,6 +61,8 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.args = args
+        #: Summed duration of the direct children closed so far.
+        self.child = 0.0
 
     @property
     def duration(self) -> float:
@@ -81,15 +100,23 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Collects nested spans and instant events for one run."""
+    """Collects nested spans, their stage table, and instant events for
+    one run."""
 
-    def __init__(self, clock: Callable[[], float] = perf_counter):
+    def __init__(self, clock: Callable[[], float] = perf_counter,
+                 keep_spans: bool = True):
         self._clock = clock
-        #: Every span ever opened, in open order (start-time order).
+        self._keep = keep_spans
+        #: Every span ever opened, in open order (start-time order);
+        #: empty with ``keep_spans=False``.
         self.spans: List[Span] = []
         #: Instant events: (timestamp, parent span id or None, name, args).
         self.events: List[tuple] = []
+        #: The stage table: span name -> summed self seconds / count.
+        self.stage_seconds: Dict[str, float] = {}
+        self.stage_counts: Dict[str, int] = {}
         self._stack: List[Span] = []
+        self._opened = 0
 
     # ------------------------------------------------------------------
 
@@ -103,26 +130,63 @@ class Tracer:
         self.events.append((self._clock(), parent, name, args))
 
     def _open(self, name: str, args: Dict[str, object]) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            sid=len(self.spans),
-            parent=parent.sid if parent is not None else None,
-            name=name,
-            depth=len(self._stack),
-            start=self._clock(),
-            args=args,
-        )
-        self.spans.append(span)
-        self._stack.append(span)
+        stack = self._stack
+        span = Span(self._opened, stack[-1].sid if stack else None, name,
+                    len(stack), self._clock(), args)
+        self._opened += 1
+        if self._keep:
+            self.spans.append(span)
+        stack.append(span)
         return span
 
     def _close(self, span: Span) -> None:
-        span.end = self._clock()
-        # Exceptions can leave deeper spans open; unwind to this span.
-        while self._stack and self._stack[-1] is not span:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
+        end = span.end = self._clock()
+        stack = self._stack
+        # Exceptions can leave deeper spans open; unwind past this span.
+        while stack and stack.pop() is not span:
+            pass
+        duration = end - span.start
+        if stack:
+            stack[-1].child += duration
+        name = span.name
+        seconds, counts = self.stage_seconds, self.stage_counts
+        seconds[name] = seconds.get(name, 0.0) + duration - span.child
+        counts[name] = counts.get(name, 0) + 1
+
+    # ------------------------------------------------------------------
+    # The stage table
+
+    def merge(self, seconds: Dict[str, float],
+              counts: Dict[str, int]) -> None:
+        """Fold another tracer's stage table in (a pool worker's
+        ``stage_seconds``/``stage_counts``)."""
+        for name, value in seconds.items():
+            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) \
+                + value
+            self.stage_counts[name] = self.stage_counts.get(name, 0) \
+                + counts.get(name, 0)
+
+    @property
+    def stage_total(self) -> float:
+        return sum(self.stage_seconds.values())
+
+    def stages(self) -> Dict[str, Dict[str, float]]:
+        """JSON-ready table: name -> {seconds, count}, sorted by name."""
+        return {
+            name: {"seconds": self.stage_seconds[name],
+                   "count": self.stage_counts.get(name, 0)}
+            for name in sorted(self.stage_seconds)
+        }
+
+    def format_stages(self) -> str:
+        """The table as text, slowest row first."""
+        seconds = self.stage_seconds
+        width = max([16, *map(len, seconds)])
+        return "\n".join(
+            f"{name:>{width}s}  {seconds[name]:8.3f}s"
+            f"  x{self.stage_counts.get(name, 0)}"
+            for name in sorted(seconds, key=seconds.get, reverse=True)
+        )
 
     # ------------------------------------------------------------------
 
@@ -194,18 +258,10 @@ class Tracer:
                 handle.write("\n")
 
     def format_summary(self, top: int = 8) -> str:
-        """Human summary: span count plus the slowest span names."""
-        finished = self.finished_spans()
-        totals: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for span in finished:
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
-            counts[span.name] = counts.get(span.name, 0) + 1
-        lines = [f"{len(finished)} spans, {len(self.events)} events"]
-        for name in sorted(totals, key=totals.get, reverse=True)[:top]:
-            lines.append(
-                f"{name:>20s}  {totals[name]:8.4f}s  x{counts[name]}"
-            )
+        """Human summary: span count plus the slowest stage-table rows."""
+        lines = [f"{len(self.finished_spans())} spans, "
+                 f"{len(self.events)} events"]
+        lines.extend(self.format_stages().splitlines()[:top])
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -236,6 +292,47 @@ class NullTracer:
     def event(self, name: str, **args) -> None:
         pass
 
+    def merge(self, seconds, counts) -> None:
+        pass
+
 
 #: Shared no-op tracer: ``tracer = tracer or NULL_TRACER``.
 NULL_TRACER = NullTracer()
+
+
+# ----------------------------------------------------------------------
+# Active-tracer scope (how pipeline stages find the tracer)
+
+_ACTIVE: List[Tracer] = []
+
+
+def current_tracer():
+    """The innermost tracer installed by :func:`trace_scope`, or
+    :data:`NULL_TRACER` when none is active."""
+    return _ACTIVE[-1] if _ACTIVE else NULL_TRACER
+
+
+def span(name: str, **args):
+    """Context manager recording one span named ``name`` into the active
+    tracer; the shared no-op handle when no scope is active."""
+    if _ACTIVE:
+        return _SpanHandle(_ACTIVE[-1], name, args)
+    return _NULL_SPAN
+
+
+@contextmanager
+def trace_scope(tracer):
+    """Install ``tracer`` as the active tracer for the dynamic extent.
+
+    Passing :data:`NULL_TRACER` (or any :class:`NullTracer`) is a no-op:
+    it does *not* mask an outer scope, exactly like
+    :func:`~repro.obs.metrics.metrics_scope`.
+    """
+    if isinstance(tracer, NullTracer):
+        yield tracer
+        return
+    _ACTIVE.append(tracer)
+    try:
+        yield tracer
+    finally:
+        _ACTIVE.pop()

@@ -83,6 +83,7 @@ from repro.obs.metrics import (
     current_metrics,
     metrics_scope,
 )
+from repro.obs.tracer import span
 from repro.regions.region import Region
 from repro.schedule.fingerprint import (
     latency_fingerprint,
@@ -100,7 +101,6 @@ from repro.schedule.scheduler import (
     schedule_problem,
     schedule_region,
 )
-from repro.util.timing import NULL_TIMER, StageTimer
 
 #: Tier-2 entry bound; one entry is a few hundred bytes, so the default
 #: caps the in-memory memo around a few tens of MiB worst case.
@@ -191,9 +191,9 @@ def _build_shared(step, *args) -> Tuple:
     return results + (build.deterministic_snapshot(),)
 
 
-def _ddg_and_priorities(problem, copies, machine, liveness, timer) -> Tuple:
+def _ddg_and_priorities(problem, copies, machine, liveness) -> Tuple:
     """The DDG plus its (empty) priority rank table, shared by a row."""
-    ddg = build_problem_ddg(problem, copies, machine, liveness, timer)
+    ddg = build_problem_ddg(problem, copies, machine, liveness)
     return ddg, PriorityRanks(problem, ddg)
 
 
@@ -298,7 +298,6 @@ class RegionMemo:
         machine: MachineModel,
         options: ScheduleOptions,
         liveness: LivenessInfo,
-        timer: StageTimer = NULL_TIMER,
     ):
         """Schedule ``region`` through the memo.
 
@@ -308,10 +307,10 @@ class RegionMemo:
         """
         if self._bypass(region, options):
             self.bypasses += 1
-            return schedule_region(region, machine, options, liveness,
-                                   timer=timer)
+            return schedule_region(region, machine, options, liveness)
 
-        fingerprint = region_fingerprint(region, liveness)
+        with span("fingerprint"):
+            fingerprint = region_fingerprint(region, liveness)
         key = (
             fingerprint,
             self._machine_fp(machine),
@@ -370,10 +369,10 @@ class RegionMemo:
                 # so the prepared problem is single-use: run the full
                 # reference pipeline fresh (tier 2 still caches it).
                 schedule = schedule_region(region, machine, options,
-                                           liveness, timer=timer)
+                                           liveness)
             else:
                 schedule = self._schedule_shared(region, machine, options,
-                                                 liveness, timer)
+                                                 liveness)
         snapshot = inner.deterministic_snapshot()
         if outer is not NULL_METRICS:
             outer.merge_snapshot(snapshot)
@@ -405,7 +404,7 @@ class RegionMemo:
 
     # ------------------------------------------------------------------
 
-    def _schedule_shared(self, region, machine, options, liveness, timer):
+    def _schedule_shared(self, region, machine, options, liveness):
         """The scheduler's back half on tier-1 shared front-half results."""
         active = current_metrics()
         sc = options.schedule_copies
@@ -414,7 +413,7 @@ class RegionMemo:
         shared = self._problems.get(problem_key)
         if shared is None:
             shared = self._problems[problem_key] = _build_shared(
-                prepare_problem, region, machine, liveness, sc, timer)
+                prepare_problem, region, machine, liveness, sc)
         else:
             shared[0].reset_placement()
         problem, copies, snapshot = shared
@@ -428,14 +427,13 @@ class RegionMemo:
         shared = self._ddgs.get(ddg_key)
         if shared is None:
             shared = self._ddgs[ddg_key] = _build_shared(
-                _ddg_and_priorities, problem, copies, machine, liveness,
-                timer)
+                _ddg_and_priorities, problem, copies, machine, liveness)
         ddg, priorities, snapshot = shared
         if active is not NULL_METRICS:
             active.merge_snapshot(snapshot)
 
         return schedule_problem(problem, ddg, copies, machine, liveness,
-                                options, timer, priorities=priorities)
+                                options, priorities=priorities)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.ir.liveness import LivenessInfo
 from repro.lint.collect import current_collector
 from repro.machine.model import MachineModel
 from repro.obs.metrics import NULL_METRICS, current_metrics
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import span
 from repro.regions.region import Region, RegionPartition
 from repro.schedule.ddg import DDG, build_ddg
 from repro.schedule.list_scheduler import list_schedule
@@ -42,7 +42,6 @@ from repro.schedule.priorities import (
 )
 from repro.schedule.renaming import ExitCopy, rename_region
 from repro.schedule.schedule import RegionSchedule
-from repro.util.timing import NULL_TIMER, StageTimer
 
 
 @dataclass(frozen=True)
@@ -103,17 +102,15 @@ def schedule_region(
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
     liveness: Optional[LivenessInfo] = None,
-    timer: StageTimer = NULL_TIMER,
-    tracer=NULL_TRACER,
 ) -> RegionSchedule:
     """Schedule one region for the given machine.
 
     ``liveness`` may be supplied to avoid recomputing it per region when
     scheduling a whole partition.  The input IR is never modified.
 
-    ``timer`` records per-stage wall time (prep/renaming/ddg/priority/
-    list_schedule) and ``tracer`` records the stages as nested spans;
-    per-decision counters land in the active
+    Each stage (prep/renaming/ddg/priority/list_schedule) is a span of
+    the active :func:`repro.obs.tracer.trace_scope`; per-decision
+    counters land in the active
     :func:`repro.obs.metrics.current_metrics` registry.
 
     Every call runs every stage fresh: this is the reference route the
@@ -146,39 +143,34 @@ def schedule_region(
             )
         from repro.schedule.hyperblock import schedule_hyperblock
 
-        with timer.stage("list_schedule"), \
-                tracer.span("list_schedule", region=region.root.bid,
-                            kind="hyperblock"):
+        with span("list_schedule", region=region.root.bid,
+                  kind="hyperblock"):
             return _record_schedule_metrics(schedule_hyperblock(
                 region, machine, heuristic=options.heuristic,
                 liveness=liveness, max_cycles=options.max_cycles,
             ))
-    with tracer.span("schedule_region", region=region.root.bid,
-                     blocks=len(region.blocks),
-                     machine=machine.name,
-                     heuristic=options.heuristic):
+    with span("schedule_region", region=region.root.bid,
+              blocks=len(region.blocks), machine=machine.name,
+              heuristic=options.heuristic):
         problem, copies = prepare_problem(region, machine, liveness,
-                                          options.schedule_copies,
-                                          timer, tracer)
-        ddg = build_problem_ddg(problem, copies, machine, liveness,
-                                timer, tracer)
+                                          options.schedule_copies)
+        ddg = build_problem_ddg(problem, copies, machine, liveness)
         return schedule_problem(problem, ddg, copies, machine, liveness,
-                                options, timer, tracer)
+                                options)
 
 
 def prepare_problem(
     region: Region, machine: MachineModel, liveness: LivenessInfo,
-    schedule_copies: bool = False, timer: StageTimer = NULL_TIMER,
-    tracer=NULL_TRACER,
+    schedule_copies: bool = False,
 ) -> Tuple[ScheduleProblem, List[ExitCopy]]:
     """Front half, part one: prep → renaming → optional copy ops.
 
     Returns the prepared problem and its exit repair copies; with
     ``schedule_copies`` the copies are also materialised as real ops.
     """
-    with timer.stage("prep"), tracer.span("prep"):
+    with span("prep"):
         problem = prepare_region(region, machine, liveness)
-    with timer.stage("renaming"), tracer.span("renaming"):
+    with span("renaming"):
         copies = rename_region(problem, liveness)
         if schedule_copies:
             _insert_copy_ops(problem, copies)
@@ -188,17 +180,15 @@ def prepare_problem(
 def build_problem_ddg(
     problem: ScheduleProblem, copies: List[ExitCopy],
     machine: MachineModel, liveness: LivenessInfo,
-    timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER,
 ) -> DDG:
     """Front half, part two: the DDG of a prepared problem."""
-    with timer.stage("ddg"), tracer.span("ddg"):
+    with span("ddg"):
         return build_ddg(problem, machine, liveness=liveness, copies=copies)
 
 
 def schedule_problem(
     problem: ScheduleProblem, ddg: DDG, copies: List[ExitCopy],
     machine: MachineModel, liveness: LivenessInfo, options: ScheduleOptions,
-    timer: StageTimer = NULL_TIMER, tracer=NULL_TRACER,
     priorities: Optional[PriorityRanks] = None,
 ) -> RegionSchedule:
     """The back half: priority ranks → list schedule (or exact search)
@@ -214,7 +204,7 @@ def schedule_problem(
     if options.backend == "exact":
         from repro.exact.backend import exact_schedule_problem
 
-        with timer.stage("exact"), tracer.span("exact"):
+        with span("exact"):
             schedule, _info = exact_schedule_problem(
                 problem, ddg, priorities, machine, options, copies,
             )
@@ -224,18 +214,18 @@ def schedule_problem(
         ranks = None if priorities is None else \
             priorities.ranks.get(heuristic)
         if ranks is None:
-            with timer.stage("priority"), tracer.span("priority"):
+            with span("priority"):
                 ranks = (priority_ranks(problem, ddg, heuristic)
                          if priorities is None
                          else priorities.rank(heuristic))
-        with timer.stage("list_schedule"), tracer.span("list_schedule"):
+        with span("list_schedule"):
             schedule = _record_schedule_metrics(list_schedule(
                 problem, ddg, ranks, machine,
                 dominator_parallelism=options.dominator_parallelism,
                 copies=copies, max_cycles=options.max_cycles,
             ))
     if options.certify or current_collector() is not None:
-        with timer.stage("certify"), tracer.span("certify"):
+        with span("certify"):
             _certify(problem, ddg, schedule, machine, liveness, options)
     return schedule
 
@@ -294,16 +284,9 @@ def schedule_partition(
     partition: RegionPartition,
     machine: MachineModel,
     options: Optional[ScheduleOptions] = None,
-    timer: StageTimer = NULL_TIMER,
-    tracer=NULL_TRACER,
 ) -> List[RegionSchedule]:
     """Schedule every region of a partition (liveness cached per CFG)."""
     options = options or ScheduleOptions()
-    schedules: List[RegionSchedule] = []
-    for region in partition:
-        liveness = liveness_of(region.root.cfg)
-        schedules.append(
-            schedule_region(region, machine, options, liveness, timer=timer,
-                            tracer=tracer)
-        )
-    return schedules
+    return [schedule_region(region, machine, options,
+                            liveness_of(region.root.cfg))
+            for region in partition]

@@ -1,5 +1,5 @@
 """Small shared utilities: id allocation, ordered sets, validation errors,
-stage timing, and statistics helpers."""
+and statistics helpers."""
 
 from repro.util.ids import IdAllocator
 from repro.util.ordered import OrderedSet
@@ -11,7 +11,6 @@ from repro.util.errors import (
     StepLimitExceeded,
 )
 from repro.util.stats import geometric_mean
-from repro.util.timing import NULL_TIMER, NullTimer, StageTimer
 
 __all__ = [
     "IdAllocator",
@@ -22,7 +21,4 @@ __all__ = [
     "SchedulingError",
     "StepLimitExceeded",
     "geometric_mean",
-    "StageTimer",
-    "NullTimer",
-    "NULL_TIMER",
 ]

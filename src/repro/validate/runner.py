@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import NULL_METRICS, metrics_scope
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, span, trace_scope
 from repro.validate.generator import generate
 from repro.validate.oracle import (
     Cell,
@@ -153,8 +153,9 @@ def run_validation(
     parent from the outcomes, so they are mode-independent); a serial
     campaign additionally collects the deep pipeline counters of every
     seed's oracle runs via the active-registry scope.  ``tracer``
-    records one span per seed (serial campaigns only — worker spans do
-    not cross the process boundary).
+    records one span per seed, with the oracle's pipeline spans under it
+    (serial campaigns only — worker spans do not cross the process
+    boundary).
     """
     if grid is None:
         grid = default_grid()
@@ -173,9 +174,9 @@ def run_validation(
     summary = ValidationSummary()
     if jobs == 1 or len(tasks) <= 1:
         outcomes = []
-        with metrics_scope(metrics):
+        with metrics_scope(metrics), trace_scope(tracer):
             for task in tasks:
-                with tracer.span("seed", seed=task[0]):
+                with span("seed", seed=task[0]):
                     outcome = _seed_worker(task)
                 outcomes.append(outcome)
                 if progress is not None:

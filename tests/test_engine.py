@@ -18,9 +18,9 @@ from repro.evaluation.engine import (
     evaluate_grid,
     machine_by_name,
 )
+from repro.obs import Tracer, trace_scope
 from repro.schedule.priorities import HEURISTICS
 from repro.schedule.scheduler import ScheduleOptions
-from repro.util.timing import StageTimer
 from repro.workloads.specint import build_benchmark
 
 # A small but representative slice of the paper's grid: one mutating and
@@ -132,17 +132,20 @@ class TestGridHelpers:
         assert len(results) == 2
 
     def test_timer_collects_stages(self):
-        # Direct pipeline: with the region memo on, a warm process may
-        # legitimately skip every stage, so pin it off here.
-        timer = StageTimer()
-        evaluate_grid(GRID[:4], jobs=1, timer=timer, region_memo=False)
+        # The tracer's stage table times the stages.  Direct pipeline:
+        # with the region memo on, a warm process may legitimately skip
+        # every stage, so pin it off here.
+        tracer = Tracer(keep_spans=False)
+        evaluate_grid(GRID[:4], jobs=1, tracer=tracer, region_memo=False)
         for stage in ("formation", "prep", "renaming", "ddg", "priority",
                       "list_schedule", "estimate"):
-            assert stage in timer.totals, stage
+            assert stage in tracer.stage_seconds, stage
         # Each stage is entered once per region pipeline, so a stage's
         # count is the number of times it ran (e.g. DDG builds).
         pipeline = ("prep", "renaming", "ddg", "priority", "list_schedule")
-        assert len({timer.counts[stage] for stage in pipeline}) == 1
+        assert len({tracer.stage_counts[stage] for stage in pipeline}) == 1
+        # Table only: no span objects are kept.
+        assert tracer.spans == []
 
     def test_memo_ranks_once_per_ddg_and_heuristic(self):
         # Memo on, every heuristic on both machines of one group: 4U and
@@ -153,21 +156,28 @@ class TestGridHelpers:
 
         cells = [GridCell("compress", "treegion", machine, heuristic)
                  for machine in ("4U", "8U") for heuristic in HEURISTICS]
-        timer = StageTimer()
-        evaluate_grid(cells, jobs=1, timer=timer, region_memo=RegionMemo())
-        ddg_builds = timer.counts["ddg"]
+        tracer = Tracer(keep_spans=False)
+        evaluate_grid(cells, jobs=1, tracer=tracer,
+                      region_memo=RegionMemo())
+        counts = tracer.stage_counts
+        ddg_builds = counts["ddg"]
         assert ddg_builds > 0
-        assert timer.counts["priority"] <= ddg_builds * len(HEURISTICS)
-        assert timer.counts["list_schedule"] > timer.counts["priority"]
+        assert counts["priority"] <= ddg_builds * len(HEURISTICS)
+        assert counts["list_schedule"] > counts["priority"]
+        # Every memo lookup fingerprints its region once.
+        regions = sum(len(build_scheme("treegion").form(fn.cfg))
+                      for fn in build_benchmark("compress").functions())
+        assert counts["fingerprint"] == regions * len(cells)
 
     def test_worker_timers_merged(self):
-        serial = StageTimer()
-        evaluate_grid(GRID[:4], jobs=1, timer=serial, region_memo=False)
-        timer = StageTimer()
-        evaluate_grid(GRID[:4], jobs=2, timer=timer, region_memo=False)
-        assert "ddg" in timer.totals
-        assert timer.total > 0
-        assert timer.counts == serial.counts
+        # Workers ship their stage tables; the parent folds them in.
+        serial = Tracer(keep_spans=False)
+        evaluate_grid(GRID[:4], jobs=1, tracer=serial, region_memo=False)
+        tracer = Tracer(keep_spans=False)
+        evaluate_grid(GRID[:4], jobs=2, tracer=tracer, region_memo=False)
+        assert "ddg" in tracer.stage_seconds
+        assert tracer.stage_total > 0
+        assert tracer.stage_counts == serial.stage_counts
 
     def test_cell_result_as_dict(self):
         result = evaluate_grid(GRID[:1], jobs=1)[0]

@@ -17,6 +17,12 @@ from repro import api
 from repro.api import GridCell
 from repro.cli import main
 from repro.core import form_treegions
+from repro.evaluation.engine import (
+    _run_task,
+    _split_cells,
+    default_grid,
+    evaluate_grid,
+)
 from repro.evaluation.runner import evaluate_program
 from repro.evaluation.schemes import treegion_scheme, treegion_td_scheme
 from repro.interp import profile_program
@@ -30,12 +36,15 @@ from repro.obs import (
     NullMetrics,
     Tracer,
     current_metrics,
+    current_tracer,
     metrics_scope,
+    span,
+    trace_scope,
 )
 from repro.obs.metrics import observability_snapshot
 from repro.schedule import ScheduleOptions
+from repro.schedule.memo import RegionMemo
 from repro.schedule.scheduler import schedule_partition
-from repro.util.timing import StageTimer
 from repro.workloads import build_benchmark
 
 from tests.helpers import diamond_function, program_with
@@ -137,6 +146,87 @@ class TestTracer:
         text = tracer.format_summary()
         assert "1 spans" in text
         assert "alpha" in text
+
+
+class TestSpanScope:
+    def test_span_records_into_innermost_scope(self):
+        outer, inner = Tracer(), Tracer()
+        with trace_scope(outer):
+            with span("a"):
+                with trace_scope(inner):
+                    assert current_tracer() is inner
+                    with span("b", n=1):
+                        pass
+            with trace_scope(NULL_TRACER):
+                # A null tracer does not hide the outer scope.
+                assert current_tracer() is outer
+                with span("c"):
+                    pass
+        assert current_tracer() is NULL_TRACER
+        assert [s.name for s in outer.spans] == ["a", "c"]
+        assert [(s.name, s.args) for s in inner.spans] == [("b", {"n": 1})]
+
+
+def _ancestors(tracer: Tracer, span_obj):
+    by_sid = {s.sid: s for s in tracer.spans}
+    names = []
+    while span_obj.parent is not None:
+        span_obj = by_sid[span_obj.parent]
+        names.append(span_obj.name)
+    return names
+
+
+class TestGridSpans:
+    """Scheduler stages report to the scope the grid runs under."""
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_scheduler_spans_reach_cells(self, memo):
+        cells = default_grid(benchmarks=["compress"])[:16]
+        tracer = Tracer()
+        with trace_scope(tracer):
+            evaluate_grid(cells, jobs=1,
+                          region_memo=RegionMemo() if memo else False)
+        for stage in ("ddg", "list_schedule"):
+            stage_spans = [s for s in tracer.spans if s.name == stage]
+            assert stage_spans, stage
+            assert all("cell" in _ancestors(tracer, s)
+                       for s in stage_spans), stage
+        # The table is the fold of exactly these spans.
+        counts = {}
+        for s in tracer.spans:
+            counts[s.name] = counts.get(s.name, 0) + 1
+        assert counts == tracer.stage_counts
+        if memo:
+            assert counts["fingerprint"] > 0
+
+    def test_serial_rows_add_up_to_the_grid_span(self):
+        tracer = Tracer()
+        evaluate_grid(default_grid(benchmarks=["compress"])[:8], jobs=1,
+                      tracer=tracer, region_memo=False)
+        (root,) = [s for s in tracer.spans if s.name == "evaluate_grid"]
+        assert tracer.stage_total == pytest.approx(root.duration,
+                                                   rel=1e-9)
+
+    def test_forked_task_leaves_inherited_tracer_alone(self):
+        import multiprocessing
+
+        cells = [GridCell("compress", "treegion", "4U", "global_weight")]
+        (task,) = _split_cells(cells, 1)
+        tracer = Tracer()
+        with trace_scope(tracer), span("parent"):
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                child_names, table = pool.apply(_run_task_in_child, (task,))
+        # The child saw only the parent's own open span in the tracer it
+        # inherited; the task's spans went into the table it shipped.
+        assert child_names == ["parent"]
+        assert [s.name for s in tracer.spans] == ["parent"]
+        seconds, counts = table
+        assert counts["ddg"] > 0 and counts["cell"] == 1
+
+
+def _run_task_in_child(task):
+    _out, _lo, table, _snapshot, _memo = _run_task(task)
+    return [s.name for s in current_tracer().spans], table
 
 
 class TestTraceExport:
@@ -313,12 +403,16 @@ class TestMetricsRegistry:
     def test_observability_snapshot_folds_timer(self):
         metrics = MetricsRegistry()
         metrics.inc("c")
-        timer = StageTimer()
-        timer.add("formation", 0.5, 2)
-        snap = observability_snapshot(metrics, timer)
+        tracer = Tracer(clock=FakeClock(), keep_spans=False)
+        for _ in range(2):
+            with tracer.span("formation"):
+                pass
+        snap = observability_snapshot(metrics, tracer)
         assert snap["counters"] == {"c": 1}
-        assert snap["stages"]["formation"]["seconds"] == pytest.approx(0.5)
-        assert snap["total_seconds"] == pytest.approx(0.5)
+        assert snap["stages"]["formation"] == {
+            "seconds": pytest.approx(2.0), "count": 2}
+        assert snap["total_seconds"] == pytest.approx(2.0)
+        assert "stages" not in observability_snapshot(metrics, NULL_TRACER)
 
 
 class TestGaugeModes:

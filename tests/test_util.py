@@ -1,14 +1,26 @@
-"""Tests for repro.util: id allocation, ordered sets, stats, timing."""
+"""Tests for repro.util (id allocation, ordered sets, stats) and for
+stage timing, which is the stage table of :class:`repro.obs.Tracer`."""
 
 import pytest
 
+from repro.obs import NULL_TRACER, Tracer, span, trace_scope
 from repro.util import (
     IdAllocator,
-    NULL_TIMER,
     OrderedSet,
-    StageTimer,
     geometric_mean,
 )
+
+
+class StepClock:
+    """Deterministic clock: every read advances one 'second'."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        value = self.now
+        self.now += 1.0
+        return value
 
 
 class TestIdAllocator:
@@ -102,35 +114,51 @@ class TestGeometricMean:
 
 
 class TestStageTimer:
+    """The stage table a :class:`Tracer` folds its spans into."""
+
     def test_stage_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("work"):
-            pass
-        with timer.stage("work"):
-            pass
-        assert timer.counts["work"] == 2
-        assert timer.totals["work"] >= 0.0
+        tracer = Tracer(keep_spans=False)
+        with trace_scope(tracer):
+            with span("work"):
+                pass
+            with span("work"):
+                pass
+        assert tracer.stage_counts["work"] == 2
+        assert tracer.stage_seconds["work"] >= 0.0
 
     def test_merge_and_total(self):
-        a = StageTimer()
-        a.add("x", 1.0)
-        b = StageTimer()
-        b.add("x", 2.0)
-        b.add("y", 3.0)
-        a.merge(b)
-        assert a.totals["x"] == pytest.approx(3.0)
-        assert a.total == pytest.approx(6.0)
-        assert a.counts["x"] == 2
+        a = Tracer(clock=StepClock())
+        with a.span("x"):                       # x: 1s
+            pass
+        b = Tracer(clock=StepClock())
+        with b.span("y"):                       # y: 0..3, self 2s
+            with b.span("x"):                   # x: 1..2, 1s
+                pass
+        a.merge(b.stage_seconds, b.stage_counts)
+        assert a.stage_seconds["x"] == pytest.approx(2.0)
+        assert a.stage_seconds["y"] == pytest.approx(2.0)
+        assert a.stage_total == pytest.approx(4.0)
+        assert a.stage_counts["x"] == 2
 
     def test_as_dict_and_format(self):
-        timer = StageTimer()
-        timer.add("ddg", 0.25, count=10)
-        snapshot = timer.as_dict()
-        assert snapshot["ddg"]["seconds"] == pytest.approx(0.25)
-        assert "ddg" in timer.format()
+        tracer = Tracer(clock=StepClock())
+        with tracer.span("ddg"):                # ddg: 0..3, self 2s
+            with tracer.span("prep"):           # prep: 1..2, 1s
+                pass
+        table = tracer.stages()
+        assert list(table) == ["ddg", "prep"]
+        assert table["ddg"] == {"seconds": pytest.approx(2.0), "count": 1}
+        # Text form: slowest row first.
+        lines = tracer.format_stages().splitlines()
+        assert [line.split()[0] for line in lines] == ["ddg", "prep"]
+        assert lines[0].endswith("x1")
 
     def test_null_timer_is_inert(self):
-        with NULL_TIMER.stage("anything"):
+        # No scope open: span() hands out the shared no-op handle.
+        handle = span("anything")
+        with handle:
             pass
-        NULL_TIMER.add("anything", 1.0)
-        NULL_TIMER.merge(StageTimer())
+        assert span("other") is handle
+        NULL_TRACER.merge({"anything": 1.0}, {"anything": 1})
+        with trace_scope(NULL_TRACER):
+            assert span("inside") is handle
