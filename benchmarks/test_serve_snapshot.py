@@ -4,14 +4,14 @@ Runs the paper's 192-cell evaluation grid three ways —
 
 * **direct**: :func:`repro.evaluation.engine.evaluate_grid` (the
   reference path);
-* **service cold**: through :class:`repro.serve.CompileService` with an
-  empty :class:`repro.serve.ArtifactStore` (every cell dispatched to
-  the worker pool, then stored);
-* **service warm**: a fresh service over the now-populated store
-  (every cell answered from disk, the pool never consulted);
+* **service cold**: through a one-shard :class:`repro.serve.CompileFleet`
+  with an empty store and no hot tier (every cell dispatched to the
+  shard's worker pool, then stored);
+* **service warm**: a fresh one-shard fleet over the now-populated
+  store (every cell answered from disk, the pool never consulted);
 
-— asserts all three result lists are **byte-identical** (the service's
-determinism contract) and that the warm pass is at least 5x faster than
+— asserts all three result lists are **byte-identical** (the serving
+path's determinism contract) and that the warm pass is at least 5x faster than
 the cold one, then writes ``BENCH_serve.json`` at the repo root so
 future PRs can diff the caching trajectory.
 
@@ -32,7 +32,7 @@ import time
 
 from repro.evaluation.engine import default_grid, evaluate_grid
 from repro.obs import MetricsRegistry
-from repro.serve import ArtifactStore, CompileService
+from repro.serve import CompileFleet
 
 from benchmarks.conftest import emit_table
 
@@ -65,9 +65,16 @@ def _payload_bytes(results):
     ).encode("utf-8")
 
 
+def _local_fleet(cache_dir, metrics):
+    """One shard, no hot tier: every answer comes from the pool or the
+    store on disk, like a single in-process service."""
+    return CompileFleet(shards=1, jobs=2, hot_cache=0, cache_dir=cache_dir,
+                        metrics=metrics)
+
+
 def test_serve_snapshot(tmp_path):
     grid = _grid()
-    store_dir = str(tmp_path / "store")
+    cache_dir = str(tmp_path / "cache")
 
     t0 = time.perf_counter()
     direct = evaluate_grid(grid, jobs=1)
@@ -75,17 +82,15 @@ def test_serve_snapshot(tmp_path):
 
     cold_metrics = MetricsRegistry()
     t0 = time.perf_counter()
-    with CompileService(store=ArtifactStore(store_dir), jobs=2,
-                        metrics=cold_metrics) as service:
-        cold = service.evaluate(grid)
+    with _local_fleet(cache_dir, cold_metrics) as fleet:
+        cold = fleet.evaluate(grid)
     t_cold = time.perf_counter() - t0
 
     warm_metrics = MetricsRegistry()
-    warm_store = ArtifactStore(store_dir)
     t0 = time.perf_counter()
-    with CompileService(store=warm_store, jobs=2,
-                        metrics=warm_metrics) as service:
-        warm = service.evaluate(grid)
+    with _local_fleet(cache_dir, warm_metrics) as fleet:
+        warm = fleet.evaluate(grid)
+        warm_store = fleet.stats()["shards"][0]["service"]["store"]
     t_warm = time.perf_counter() - t0
 
     # The determinism contract: all three routes, one answer.
@@ -93,7 +98,7 @@ def test_serve_snapshot(tmp_path):
     assert _payload_bytes(warm) == _payload_bytes(direct)
 
     # The warm pass never touched the pool.
-    assert warm_store.hits == len(grid)
+    assert warm_store["hits"] == len(grid)
     warm_counters = warm_metrics.snapshot()["counters"]
     assert warm_counters["serve.jobs.cache_hits"] == len(grid)
     assert "serve.dispatches" not in warm_counters
@@ -112,9 +117,9 @@ def test_serve_snapshot(tmp_path):
         "warm_speedup": round(speedup, 1),
         "identical_to_direct": True,
         "store": {
-            "entries": len(warm_store),
-            "bytes": warm_store.total_bytes(),
-            "warm_hits": warm_store.hits,
+            "entries": warm_store["entries"],
+            "bytes": warm_store["bytes"],
+            "warm_hits": warm_store["hits"],
         },
         "cold_counters": {
             name: value
@@ -132,6 +137,6 @@ def test_serve_snapshot(tmp_path):
         f"{'service cold':32s} {t_cold:>11.2f}s",
         f"{'service warm':32s} {t_warm:>11.2f}s",
         f"{'warm speedup':32s} {speedup:>11.1f}x",
-        f"{'store entries':32s} {len(warm_store):>12d}",
-        f"{'store bytes':32s} {warm_store.total_bytes():>12d}",
+        f"{'store entries':32s} {warm_store['entries']:>12d}",
+        f"{'store bytes':32s} {warm_store['bytes']:>12d}",
     ])

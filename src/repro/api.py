@@ -152,7 +152,7 @@ def cached_evaluate(
     """
     import os
     from repro.ir.printer import format_program
-    from repro.serve.service import resolve_program_text
+    from repro.serve.router import resolve_program_text
     from repro.serve.store import ArtifactStore, cell_key
     from repro.serve.jobs import JobRequest
 
@@ -244,7 +244,6 @@ def open_fleet(
     job_timeout: Optional[float] = None,
     retries: int = 2,
     metrics=NULL_METRICS,
-    tracer=NULL_TRACER,
     **kwargs,
 ):
     """Open a :class:`~repro.serve.fleet.CompileFleet` in-process.
@@ -262,48 +261,7 @@ def open_fleet(
         shards=shards, cache_dir=cache_dir, cache_max_mb=cache_max_mb,
         jobs=jobs, batch_size=batch_size, max_pending=max_pending,
         job_timeout=job_timeout, retries=retries, metrics=metrics,
-        tracer=tracer, **kwargs,
-    )
-
-
-def open_service(
-    *,
-    cache_dir: Optional[str] = None,
-    cache_max_mb: float = 256,
-    jobs: int = 2,
-    batch_size: int = 16,
-    max_pending: int = 256,
-    job_timeout: Optional[float] = None,
-    retries: int = 2,
-    metrics=NULL_METRICS,
-    tracer=NULL_TRACER,
-):
-    """Open a single :class:`~repro.serve.service.CompileService`.
-
-    .. deprecated::
-        ``open_service`` predates the fleet and remains as a shim for
-        single-shard, in-process use (it reads/writes the *unsharded*
-        store layout at ``cache_dir``).  New code should use
-        :func:`open_fleet` in-process or :func:`connect` against a
-        served endpoint.
-    """
-    import warnings
-
-    from repro.serve.service import CompileService
-    from repro.serve.store import ArtifactStore
-
-    warnings.warn(
-        "repro.api.open_service is deprecated; use repro.api.open_fleet "
-        "(in-process) or repro.api.connect (against a served endpoint)",
-        DeprecationWarning, stacklevel=2,
-    )
-    store = None
-    if cache_dir is not None:
-        store = ArtifactStore(cache_dir, max_mb=cache_max_mb)
-    return CompileService(
-        store=store, jobs=jobs, batch_size=batch_size,
-        max_pending=max_pending, job_timeout=job_timeout,
-        retries=retries, metrics=metrics, tracer=tracer,
+        **kwargs,
     )
 
 
@@ -482,7 +440,6 @@ __all__ = [
     "cached_evaluate",
     "connect",
     "open_fleet",
-    "open_service",
     "evaluate_cell",
     "simulate",
     "lint_program",

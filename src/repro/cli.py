@@ -150,7 +150,7 @@ def _obs_for(args, stages: bool = False):
     return metrics, tracer
 
 
-def _write_obs(args, metrics, tracer) -> None:
+def _write_obs(args, metrics, tracer=None) -> None:
     """Write the files the --metrics/--trace flags asked for."""
     from repro.obs import NullMetrics, write_observability_json
 
@@ -674,15 +674,7 @@ def cmd_warm(args) -> int:
 
 
 def _endpoint_from_args(args) -> str:
-    """--endpoint, or the deprecated --socket PATH (→ ``unix://PATH``)."""
-    socket_path = getattr(args, "socket", None)
     endpoint = getattr(args, "endpoint", None)
-    if endpoint and socket_path:
-        raise CLIError("pass --endpoint or --socket, not both")
-    if socket_path:
-        print("repro: note: --socket PATH is deprecated; use "
-              f"--endpoint unix://{socket_path}", file=sys.stderr)
-        return f"unix://{socket_path}"
     if not endpoint:
         raise CLIError("pass --endpoint unix:///path or tcp://host:port")
     return endpoint
@@ -717,7 +709,7 @@ def _fleet_obs(args):
     return trace_dir, events
 
 
-def _open_fleet(args, metrics, tracer, trace_dir=None, events=None):
+def _open_fleet(args, metrics, trace_dir=None, events=None):
     from repro.serve.events import NULL_EVENTS
 
     return api.open_fleet(
@@ -725,8 +717,7 @@ def _open_fleet(args, metrics, tracer, trace_dir=None, events=None):
         cache_max_mb=args.cache_max_mb, jobs=args.jobs,
         batch_size=args.batch_size, max_pending=args.max_pending,
         job_timeout=args.job_timeout, retries=args.retries,
-        metrics=metrics, tracer=tracer,
-        trace_dir=trace_dir,
+        metrics=metrics, trace_dir=trace_dir,
         events=events if events is not None else NULL_EVENTS,
     )
 
@@ -736,10 +727,9 @@ def cmd_serve(args) -> int:
     from repro.serve.frontend import FrontendServer
 
     endpoint = _parse_endpoint_arg(_endpoint_from_args(args))
-    metrics, tracer = _obs_for(args)
+    metrics, _ = _obs_for(args)
     trace_dir, events = _fleet_obs(args)
-    fleet = _open_fleet(args, metrics, tracer, trace_dir=trace_dir,
-                        events=events)
+    fleet = _open_fleet(args, metrics, trace_dir=trace_dir, events=events)
     server = FrontendServer(fleet, endpoint, metrics=metrics,
                             trace_dir=trace_dir, events=events)
     try:
@@ -757,7 +747,7 @@ def cmd_serve(args) -> int:
         fleet.close(drain=True)
         events.close()
         print(f"fleet stats: {fleet.stats()}", file=sys.stderr)
-        _write_obs(args, metrics, tracer)
+        _write_obs(args, metrics)
     return 0
 
 
@@ -822,14 +812,14 @@ def cmd_soak(args) -> int:
         cells.extend(_warm_grid(args, name))
     if not cells:
         raise CLIError("the soak grid is empty; pass --benchmarks/--grid")
-    metrics, tracer = _obs_for(args)
+    metrics, _ = _obs_for(args)
     trace_dir, events = _fleet_obs(args)
 
     server = fleet = None
     if args.serve:
         from repro.serve.frontend import FrontendServer
 
-        fleet = _open_fleet(args, metrics, tracer, trace_dir=trace_dir,
+        fleet = _open_fleet(args, metrics, trace_dir=trace_dir,
                             events=events)
         server = FrontendServer(
             fleet, args.endpoint or "tcp://127.0.0.1:0", metrics=metrics,
@@ -856,7 +846,7 @@ def cmd_soak(args) -> int:
         print(f"distributed-trace spans in {trace_dir} "
               f"(merge with: repro trace-merge {trace_dir})",
               file=sys.stderr)
-    _write_obs(args, metrics, tracer)
+    _write_obs(args, metrics)
     return 0 if report.dropped == 0 and not report.errors else 1
 
 
@@ -911,11 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--heuristic", choices=list(HEURISTICS),
                        default="global_weight")
 
-    def obs_flags(p):
+    def obs_flags(p, trace=True):
         p.add_argument("--metrics", default=None, metavar="FILE",
                        help="write pipeline counters as JSON to FILE")
-        p.add_argument("--trace", default=None, metavar="FILE",
-                       help="write a Chrome trace-event JSON to FILE")
+        if trace:
+            p.add_argument("--trace", default=None, metavar="FILE",
+                           help="write a Chrome trace-event JSON to FILE")
 
     def cache_flags(p, required=False):
         p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -1134,8 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
     def endpoint_flags(p):
         p.add_argument("--endpoint", default=None, metavar="URL",
                        help="unix:///path/to.sock or tcp://host:port")
-        p.add_argument("--socket", default=None, metavar="PATH",
-                       help="deprecated alias for --endpoint unix://PATH")
 
     def fleet_flags(p):
         p.add_argument("--shards", type=int, default=2,
@@ -1175,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     endpoint_flags(p)
     fleet_flags(p)
     cache_flags(p)
-    obs_flags(p)
+    obs_flags(p, trace=False)
     dist_obs_flags(p)
     p.set_defaults(func=cmd_serve)
 
@@ -1222,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="axes, e.g. 'schemes=bb,treegion;machines=4U'")
     fleet_flags(p)
     cache_flags(p)
-    obs_flags(p)
+    obs_flags(p, trace=False)
     dist_obs_flags(p)
     p.set_defaults(func=cmd_soak)
 

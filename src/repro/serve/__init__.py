@@ -6,17 +6,21 @@ The layers, bottom up (see DESIGN.md §10–§12):
   grid-cell schedule results, keyed by SHA-256 of (canonical IR text,
   scheme spec, machine fingerprint, heuristic, schema version), with
   atomic writes, LRU size-bounded eviction, and corruption tolerance;
-* :mod:`repro.serve.service` (+ :mod:`repro.serve.jobs`) — a
-  :class:`CompileService` that deduplicates in-flight requests, checks
-  the store first, coalesces misses into batches for the PR-1
-  multiprocessing worker, retries crashed/timed-out dispatches with
-  backoff, applies backpressure through a bounded queue, and shuts
-  down gracefully.  Results are bit-identical to
-  :func:`repro.api.evaluate_grid`;
+* :mod:`repro.serve.service` (+ :mod:`repro.serve.jobs`) — the
+  :class:`CompileService`, one shard's batch dispatcher for the store
+  misses the fleet hands it: a bounded intake queue (backpressure),
+  batches grouped by (program, scheme) for the PR-1 multiprocessing
+  worker, crash/timeout retry with backoff, write-back into the
+  shard's store, and graceful shutdown;
 * :mod:`repro.serve.router` + :mod:`repro.serve.fleet` — a
-  :class:`CompileFleet` of N service+store shards, each exclusively
-  owning a content-key slice, with an in-memory hot tier, in-flight
-  dedup, warm-replica reads, and supervised shard restart;
+  :class:`CompileFleet` of N service+store shards.  The fleet does all
+  request-level work, once per request: it resolves the program text
+  and computes the content key (:func:`request_key`, the one place
+  keying happens), answers from its in-memory hot tier, owns the one
+  in-flight dedup map, and probes the owner shard's store (then warm
+  replicas) before dispatching.  It also supervises and restarts
+  shards.  Results are bit-identical to
+  :func:`repro.api.evaluate_grid`;
 * :mod:`repro.serve.wire` — framed, versioned JSON protocol with typed
   messages and structured error codes over ``unix://`` / ``tcp://``
   endpoints;
@@ -40,7 +44,7 @@ from repro.serve.jobs import (
     ServiceSaturatedError,
     ShardDownError,
 )
-from repro.serve.service import CompileService, resolve_program_text
+from repro.serve.service import CompileService
 from repro.serve.store import (
     ArtifactStore,
     cell_key,
@@ -49,7 +53,7 @@ from repro.serve.store import (
     result_to_payload,
     store_schema,
 )
-from repro.serve.router import KeyRouter, request_key
+from repro.serve.router import KeyRouter, request_key, resolve_program_text
 from repro.serve.fleet import CompileFleet
 from repro.serve.wire import Endpoint, ErrorCode, parse_endpoint
 from repro.serve.client import Client, ClientError, connect

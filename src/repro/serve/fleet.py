@@ -1,32 +1,34 @@
 """The compile fleet: N sharded services behind one submit surface.
 
-:class:`CompileFleet` scales PR 5's single :class:`CompileService` to a
-fleet of worker shards, each exclusively owning one
-:class:`~repro.serve.store.ArtifactStore` shard (``<cache>/shard-00``,
-``shard-01``, ...) and its own process pool.  Requests route by content
-key (:mod:`repro.serve.router`), which makes the whole design correct
-by construction: the key determines the answer, so the owner shard is a
-pure function of the request and identical requests always meet at the
-same shard.
+:class:`CompileFleet` is the one place that does request-level work.
+Each request is keyed once (:func:`repro.serve.router.request_key`),
+and the key routes it to the shard that exclusively owns that slice of
+the keyspace — one :class:`~repro.serve.store.ArtifactStore` shard
+(``<cache>/shard-00``, ``shard-01``, ...) plus one
+:class:`~repro.serve.service.CompileService`, the shard's batch
+dispatcher over its own process pool.  The key determines the answer,
+so the owner shard is a pure function of the request and identical
+requests always meet at the same shard.
 
-On top of routing the fleet adds the layers a production front end
-needs:
+In request order the fleet does:
 
 * **hot tier** — a bounded in-memory LRU of finished results; the
   steady-state warm hit costs one dict lookup, no disk, no shard;
-* **idempotent dedup** — an in-flight map keyed by content key.  A
-  client that retries a request the fleet already accepted (dropped
+* **idempotent dedup** — the one in-flight map, keyed by content key.
+  A client that retries a request the fleet already accepted (dropped
   connection, duplicate submission) collapses onto the existing
   handle; nothing is ever computed or dispatched twice
   (``fleet.deduped``);
-* **warm-replica reads** — when the owner shard's store misses, the
-  other shards' stores are probed read-only and a hit is adopted into
-  the owner (``fleet.replica_reads``).  This is what makes resizing
-  the fleet cheap: a key whose owner changed is re-read, not
-  recomputed;
+* **store probe** — once per dispatch attempt the owner shard's store
+  is read, then, on a miss, the other shards' stores; a replica hit is
+  adopted into the owner (``fleet.replica_reads``).  This is what
+  makes resizing the fleet cheap: a key whose owner changed is re-read,
+  not recomputed.  A store hit resolves here with ``source="store"``
+  (``serve.jobs.cache_hits``); only misses reach the shard's service,
+  which computes them and writes them back;
 * **supervision** — a supervisor thread health-checks every shard and
   restarts dead ones (a fresh :class:`CompileService` over the same
-  store — PR 5's executor-recycling machinery handles the pool level,
+  store — the service's executor recycling handles the pool level,
   this handles the service level).  A shard dying mid-batch fails only
   its in-flight keys; those are retried on the restarted shard
   (``fleet.shard_retries``), every other shard's queue untouched.
@@ -58,7 +60,6 @@ from repro.evaluation.engine import CellResult, GridCell
 from repro.ir.function import Program
 from repro.obs.distributed import NULL_DTRACER, DistributedTracer
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.serve.events import NULL_EVENTS
 from repro.serve.jobs import (
     JobFailedError,
@@ -75,83 +76,53 @@ from repro.serve.store import ArtifactStore
 _STOP = object()
 
 
-class _LockedMetrics:
-    """A registry adapter serializing updates from many shard threads.
-
-    The plain :class:`~repro.obs.metrics.MetricsRegistry` is mutated
-    lock-free on the (single-threaded) pipeline hot path; a fleet has N
-    dispatcher threads, the supervisor, and the front-end loop all
-    counting into one registry, so read-modify-write updates need a
-    lock to stay exact.
-    """
-
-    __slots__ = ("_inner", "_lock")
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._lock = threading.Lock()
-
-    def inc(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._inner.inc(name, value)
-
-    def gauge(self, name: str, value: float, mode=None) -> None:
-        with self._lock:
-            self._inner.gauge(name, value, mode=mode)
-
-    def observe(self, name: str, value) -> None:
-        with self._lock:
-            self._inner.observe(name, value)
-
-    def merge(self, other) -> None:
-        with self._lock:
-            self._inner.merge(other)
-
-    def merge_snapshot(self, data) -> None:
-        with self._lock:
-            self._inner.merge_snapshot(data)
-
-
-class _TeeMetrics:
-    """Fan every update out to the fleet's own registry *and* the
-    caller's.
+class _LockedTee:
+    """Fan every metrics update out to the fleet's own registry *and*
+    the caller's, under one lock.
 
     The fleet must be able to answer ``STATS`` with a metrics snapshot
     whether or not the embedding application passed a registry of its
     own, so it always keeps one; a user registry (the CLI's
-    ``--metrics`` file, the benchmarks') sees the same stream.
+    ``--metrics`` file, the benchmarks') sees the same stream.  The
+    plain :class:`~repro.obs.metrics.MetricsRegistry` is mutated
+    lock-free on the (single-threaded) pipeline hot path; a fleet has N
+    dispatcher threads, the supervisor, and the front-end loop all
+    counting, so read-modify-write updates need the lock to stay exact.
     """
 
-    __slots__ = ("_sinks",)
+    __slots__ = ("_sinks", "_lock")
 
     def __init__(self, *sinks):
         self._sinks = [
             sink for sink in sinks
             if sink is not None and sink is not NULL_METRICS
         ]
+        self._lock = threading.Lock()
 
     def inc(self, name: str, value: int = 1) -> None:
-        for sink in self._sinks:
-            sink.inc(name, value)
+        with self._lock:
+            for sink in self._sinks:
+                sink.inc(name, value)
 
     def gauge(self, name: str, value: float, mode=None) -> None:
-        for sink in self._sinks:
-            try:
+        with self._lock:
+            for sink in self._sinks:
                 sink.gauge(name, value, mode=mode)
-            except TypeError:  # pre-mode registry duck types
-                sink.gauge(name, value)
 
     def observe(self, name: str, value) -> None:
-        for sink in self._sinks:
-            sink.observe(name, value)
+        with self._lock:
+            for sink in self._sinks:
+                sink.observe(name, value)
 
     def merge(self, other) -> None:
-        for sink in self._sinks:
-            sink.merge(other)
+        with self._lock:
+            for sink in self._sinks:
+                sink.merge(other)
 
     def merge_snapshot(self, data) -> None:
-        for sink in self._sinks:
-            sink.merge_snapshot(data)
+        with self._lock:
+            for sink in self._sinks:
+                sink.merge_snapshot(data)
 
 
 @dataclass
@@ -170,21 +141,28 @@ class FleetHandle(JobHandle):
 
 
 class _Shard:
-    """One worker shard: a service plus the store it exclusively owns."""
+    """One worker shard: a service plus the store it exclusively owns.
 
-    __slots__ = ("index", "store", "service", "up", "generation")
+    ``store_lock`` serializes the fleet's reads of the store (request
+    threads probe it concurrently; the store itself is not
+    thread-safe).
+    """
+
+    __slots__ = ("index", "store", "store_lock", "service", "up",
+                 "generation")
 
     def __init__(self, index: int, store: Optional[ArtifactStore],
                  service: CompileService):
         self.index = index
         self.store = store
+        self.store_lock = threading.Lock()
         self.service = service
         self.up = True
         self.generation = 0
 
 
 class CompileFleet:
-    """Content-key-sharded fleet of :class:`CompileService` workers.
+    """Content-key-sharded fleet of :class:`CompileService` shards.
 
     Args:
         shards: Worker shard count (each shard = one service + one
@@ -225,7 +203,6 @@ class CompileFleet:
         health_interval: float = 0.5,
         retry_backoff: float = 0.02,
         metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
         sleep: Callable[[float], None] = time.sleep,
         service_kwargs: Optional[Dict[str, object]] = None,
         trace_dir: Optional[str] = None,
@@ -236,9 +213,7 @@ class CompileFleet:
         #: can snapshot counters/gauges even when the embedder passed no
         #: registry.  User metrics see the same stream through the tee.
         self.own_metrics = MetricsRegistry()
-        self.metrics = _LockedMetrics(_TeeMetrics(self.own_metrics,
-                                                  metrics))
-        self.tracer = tracer
+        self.metrics = _LockedTee(self.own_metrics, metrics)
         self.trace_dir = trace_dir
         self.dtracer = DistributedTracer(trace_dir, "fleet") \
             if trace_dir else NULL_DTRACER
@@ -289,8 +264,8 @@ class CompileFleet:
             store=shard.store, jobs=self.jobs,
             batch_size=self.batch_size, max_pending=self.max_pending,
             job_timeout=self.job_timeout, retries=self.retries,
-            metrics=self.metrics, tracer=self.tracer,
-            trace_dir=self.trace_dir, shard=shard.index,
+            metrics=self.metrics, trace_dir=self.trace_dir,
+            shard=shard.index,
             **self._service_kwargs,
         )
 
@@ -379,8 +354,9 @@ class CompileFleet:
     def submit(self, request: JobRequest) -> FleetHandle:
         """Route one request to its owner shard; returns its handle.
 
-        Identical in-flight requests share one handle (idempotency by
-        content key); hot-tier hits resolve immediately.  Raises
+        The request is keyed here, once.  Identical in-flight requests
+        share one handle (idempotency by content key); hot-tier and
+        store hits resolve before this returns.  Raises
         :class:`ServiceSaturatedError` when the owner shard's intake is
         full (the request was NOT accepted — safe to retry) and
         :class:`ServiceClosedError` after shutdown began.
@@ -439,24 +415,34 @@ class CompileFleet:
 
     # -- routing ---------------------------------------------------------
 
-    def _replica_read(self, owner: _Shard, key: str) -> None:
-        """Adopt ``key`` into the owner's store from any warm replica."""
-        store = owner.service.store
-        if store is None or key in store:
-            return
+    def _store_read(self, owner: _Shard,
+                    key: str) -> Optional[CellResult]:
+        """``key``'s stored result: the owner's store first, then any
+        warm replica (adopted into the owner); None when all miss."""
+        store = owner.store
+        if store is None:
+            return None
+        with owner.store_lock:
+            result = store.get(key)
+        if result is not None:
+            return result
         for other in self._shards:
-            replica = other.service.store
+            replica = other.store
             if other is owner or replica is None or key not in replica:
                 continue
-            result = replica.get(key)
+            with other.store_lock:
+                result = replica.get(key)
             if result is not None:
-                store.put(key, result)
+                with owner.store_lock:
+                    store.put(key, result)
                 self.metrics.inc("fleet.replica_reads")
-                return
+                return result
+        return None
 
     def _dispatch(self, handle: FleetHandle) -> None:
-        """Submit ``handle`` to its owner shard (restarting it first if
-        it is down); chains completion back through the fleet."""
+        """One dispatch attempt: answer ``handle`` from the stores, or
+        submit it to its owner shard (restarting the shard first if it
+        is down) and chain completion back through the fleet."""
         shard = self._shards[self.router.shard_for(handle.key)]
         span = None
         if handle.request.trace_id:
@@ -471,13 +457,24 @@ class CompileFleet:
             if handle.fleet_attempts > 0:
                 span.annotate("supervisor.restart")
             handle.dspan = span
+        cached = self._store_read(shard, handle.key)
+        if cached is not None:
+            self.metrics.inc("serve.jobs.cache_hits")
+            handle.shard = shard.index
+            handle.cached = True
+            handle.source = "store"
+            if span is not None:
+                span.finish(outcome="ok", source="store",
+                            attempts=handle.attempts)
+                handle.dspan = None
+            self._finish(handle, cached)
+            return
         for _ in range(2):
             if not shard.up or not shard.service.alive:
                 self._restart_shard(shard)
                 if span is not None:
                     span.annotate("supervisor.restart")
                     span.set(generation=shard.generation)
-            self._replica_read(shard, handle.key)
             request = handle.request
             if span is not None and span.span_id is not None:
                 # Reparent the inner request under this dispatch span so
@@ -485,7 +482,7 @@ class CompileFleet:
                 request = _dc_replace(request,
                                       parent_span_id=span.span_id)
             try:
-                inner = shard.service.submit(request)
+                inner = shard.service.submit(request, handle.key)
             except ServiceClosedError:
                 # Lost a race with the shard going down; restart once.
                 shard.up = False
@@ -507,9 +504,7 @@ class CompileFleet:
         error = inner.error
         span, handle.dspan = handle.dspan, None
         if error is None:
-            handle.cached = inner.cached
             handle.attempts = inner.attempts
-            handle.source = "store" if inner.cached else "computed"
             if span is not None:
                 span.finish(outcome="ok", source=handle.source,
                             attempts=handle.attempts)

@@ -69,7 +69,7 @@ class JobRequest:
 
     ``program_text`` is the canonical textual IR
     (:func:`repro.ir.printer.format_program`); None means "the built-in
-    benchmark named by ``cell.benchmark``" and the service resolves the
+    benchmark named by ``cell.benchmark``" and the fleet resolves the
     text itself for keying.
 
     ``trace_id``/``parent_span_id`` carry the distributed trace context

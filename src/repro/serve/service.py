@@ -1,13 +1,11 @@
-"""The batched compilation service.
+"""The shard's batch dispatcher.
 
-:class:`CompileService` turns individual compile requests (one program
-under one grid cell) into batched, cached, fault-tolerant work:
+:class:`CompileService` is one fleet shard's compute engine.  It does
+no request-level work: the fleet (:mod:`repro.serve.fleet`) resolves
+the program text, computes the content key, deduplicates in-flight
+requests and probes the stores, and hands the service only the misses,
+each with its key.  What the service does with them:
 
-* **dedup** — a request whose key is already in flight shares the
-  existing :class:`~repro.serve.jobs.JobHandle` instead of recomputing;
-* **store first** — with an :class:`~repro.serve.store.ArtifactStore`
-  attached, submission checks the store before queueing anything, so a
-  warm cache answers without touching the worker pool;
 * **batching** — queued jobs are coalesced into batches and grouped by
   (program, scheme) exactly like the PR-1 engine's parallel path, so
   one dispatch clones and forms each program once and schedules it for
@@ -20,6 +18,8 @@ under one grid cell) into batched, cached, fault-tolerant work:
   worker cannot wedge the service.  Deterministic worker exceptions
   (the job itself is broken) fail immediately — retrying cannot fix
   them;
+* **store write-back** — with an :class:`~repro.serve.store.ArtifactStore`
+  attached, every computed result is put under its key;
 * **backpressure** — the intake queue is bounded; a full queue makes
   ``submit`` raise :class:`~repro.serve.jobs.ServiceSaturatedError`
   rather than buffering unboundedly;
@@ -28,10 +28,8 @@ under one grid cell) into batched, cached, fault-tolerant work:
   :class:`~repro.serve.jobs.ServiceClosedError`; either way the
   dispatcher exits and the pool is torn down.
 
-Every job resolution happens under a trace span
-(``serve.job``), and the service counts submissions, dedups, cache
-hits, dispatches, retries, timeouts, and failures into its metrics
-registry.
+The service counts submissions, dispatches, retries, timeouts, and
+failures into its metrics registry.
 """
 
 from __future__ import annotations
@@ -44,15 +42,8 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutureTimeo
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.evaluation.engine import (
-    CellResult,
-    GridCell,
-    _merge_partials,
-    _run_task,
-)
-from repro.ir.function import Program
+from repro.evaluation.engine import CellResult, _merge_partials, _run_task
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_TRACER
 from repro.serve.jobs import (
     JobFailedError,
     JobHandle,
@@ -60,47 +51,7 @@ from repro.serve.jobs import (
     ServiceClosedError,
     ServiceSaturatedError,
 )
-from repro.serve.store import ArtifactStore, cell_key
-
-#: Per-process cache of built-in benchmark texts (format_program of the
-#: built workload), so keying a benchmark cell builds it at most once.
-_builtin_texts: Dict[str, str] = {}
-
-
-def _builtin_text(name: str) -> str:
-    text = _builtin_texts.get(name)
-    if text is None:
-        from repro.ir.printer import format_program
-        from repro.workloads.specint import build_benchmark
-
-        text = format_program(build_benchmark(name))
-        _builtin_texts[name] = text
-    return text
-
-
-def resolve_program_text(request: JobRequest) -> str:
-    """The canonical IR text a request is keyed (and shipped) by."""
-    if request.program_text is not None:
-        return request.program_text
-    return _builtin_text(request.cell.benchmark)
-
-
-class _Job:
-    """Internal pairing of a handle with its shipping text.
-
-    ``ship_text`` is what crosses the process boundary: the caller's
-    program text verbatim, or None for a built-in benchmark — workers
-    rebuild those by name, exactly like the engine's parallel path (the
-    printed text is canonical for *keying* but rounds profile weights
-    to ``%g``, so shipping it would perturb the estimate).
-    """
-
-    __slots__ = ("handle", "ship_text")
-
-    def __init__(self, handle: JobHandle, ship_text: Optional[str]):
-        self.handle = handle
-        self.ship_text = ship_text
-
+from repro.serve.store import ArtifactStore
 
 def _service_worker(task):
     """Default pool worker: exactly the engine's group-task worker."""
@@ -152,11 +103,11 @@ def _traced_call(worker, trace_dir, shard, specs, task):
 
 
 class CompileService:
-    """Batched, cached, retrying front end over the engine worker pool.
+    """One shard's batching, retrying dispatcher over the engine pool.
 
     Args:
-        store: Optional artifact store consulted before dispatch and
-            populated after; None disables caching.
+        store: Optional artifact store every computed result is put
+            into; None disables write-back.  The fleet reads it.
         jobs: Worker processes in the pool.
         batch_size: Max jobs coalesced into one dispatch round.
         max_pending: Bound of the intake queue (backpressure).
@@ -185,7 +136,6 @@ class CompileService:
         retries: int = 2,
         backoff: float = 0.05,
         metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
         worker: Optional[Callable] = None,
         sleep: Callable[[float], None] = time.sleep,
         trace_dir: Optional[str] = None,
@@ -200,13 +150,14 @@ class CompileService:
         self.retries = max(0, retries)
         self.backoff = backoff
         self.metrics = metrics
-        self.tracer = tracer
         self._worker = worker if worker is not None else _service_worker
         self._sleep = sleep
-        self._queue: "queue.Queue[_Job]" = queue.Queue(maxsize=max_pending)
-        self._inflight: Dict[str, JobHandle] = {}
+        self._queue: "queue.Queue[JobHandle]" = queue.Queue(
+            maxsize=max_pending)
+        #: Accepted, not yet settled handles by id (what a draining
+        #: close waits for).
+        self._pending: Dict[int, JobHandle] = {}
         self._lock = threading.Lock()
-        self._obs_lock = threading.Lock()
         self._closed = False
         self._stop = threading.Event()
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -218,8 +169,8 @@ class CompileService:
 
     # -- submission ------------------------------------------------------
 
-    def submit(self, request: JobRequest) -> JobHandle:
-        """Enqueue one job; returns its (possibly shared) handle.
+    def submit(self, request: JobRequest, key: str) -> JobHandle:
+        """Enqueue one job under its content ``key``; returns its handle.
 
         Raises :class:`ServiceClosedError` after shutdown began and
         :class:`ServiceSaturatedError` when the intake queue is full.
@@ -227,58 +178,19 @@ class CompileService:
         if self._closed:
             raise ServiceClosedError("service is shut down")
         self.metrics.inc("serve.jobs.submitted")
-        text = resolve_program_text(request)
-        key = cell_key(text, request.cell)
+        handle = JobHandle(key=key, request=request)
         with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self.metrics.inc("serve.jobs.deduped")
-                return existing
-            handle = JobHandle(key=key, request=request)
-            if self.store is not None:
-                cached = self.store.get(key)
-                if cached is not None:
-                    handle.cached = True
-                    handle.resolve(cached)
-                    self.metrics.inc("serve.jobs.cache_hits")
-                    with self._obs_lock:
-                        self.tracer.event("serve.job", key=key[:12],
-                                          cached=True)
-                    return handle
-            self._inflight[key] = handle
+            self._pending[id(handle)] = handle
         try:
-            self._queue.put_nowait(_Job(handle, request.program_text))
+            self._queue.put_nowait(handle)
         except queue.Full:
             with self._lock:
-                self._inflight.pop(key, None)
+                self._pending.pop(id(handle), None)
             self.metrics.inc("serve.jobs.rejected")
             raise ServiceSaturatedError(
                 f"intake queue full ({self._queue.maxsize} pending)"
             )
         return handle
-
-    def evaluate(
-        self,
-        cells: Sequence[GridCell],
-        program: Optional[Program] = None,
-        program_text: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> List[CellResult]:
-        """Submit every cell and block for the results, in input order.
-
-        ``program``/``program_text`` override the built-in benchmark
-        lookup for *all* cells (the single-program convenience the
-        socket server and the oracle use).
-        """
-        if program is not None and program_text is None:
-            from repro.ir.printer import format_program
-
-            program_text = format_program(program)
-        handles = [
-            self.submit(JobRequest(cell=cell, program_text=program_text))
-            for cell in cells
-        ]
-        return [handle.result(timeout) for handle in handles]
 
     # -- dispatcher ------------------------------------------------------
 
@@ -294,27 +206,40 @@ class CompileService:
                     batch.append(self._queue.get_nowait())
                 except queue.Empty:
                     break
-            self._dispatch_batch(batch)
+            for (bench, scheme, text), handles in \
+                    self._group_batch(batch).items():
+                self._dispatch_group(bench, scheme, text, handles)
         # A non-draining close fails whatever is still queued.
         while True:
             try:
-                job = self._queue.get_nowait()
+                handle = self._queue.get_nowait()
             except queue.Empty:
                 break
             self._resolve_failure(
-                job.handle, ServiceClosedError("service shut down"),
+                handle, ServiceClosedError("service shut down"),
                 counter="serve.jobs.cancelled",
             )
 
+    @staticmethod
     def _group_batch(
-        self, batch: Sequence[_Job],
-    ) -> Dict[Tuple[str, str, Optional[str]], List[_Job]]:
-        groups: Dict[Tuple[str, str, Optional[str]], List[_Job]] = {}
-        for job in batch:
-            cell = job.handle.request.cell
+        batch: Sequence[JobHandle],
+    ) -> Dict[Tuple[str, str, Optional[str]], List[JobHandle]]:
+        """Group by (program, scheme, shipping text).
+
+        The shipping text is what crosses the process boundary: the
+        caller's program text verbatim, or None for a built-in
+        benchmark — workers rebuild those by name, exactly like the
+        engine's parallel path (the printed text is canonical for
+        *keying* but rounds profile weights to ``%g``, so shipping it
+        would perturb the estimate).
+        """
+        groups: Dict[Tuple[str, str, Optional[str]], List[JobHandle]] = {}
+        for handle in batch:
+            request = handle.request
             groups.setdefault(
-                (cell.benchmark, cell.scheme, job.ship_text), []
-            ).append(job)
+                (request.cell.benchmark, request.cell.scheme,
+                 request.program_text), []
+            ).append(handle)
         return groups
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -327,26 +252,13 @@ class CompileService:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
-    def _dispatch_batch(self, batch: Sequence[_Job]) -> None:
-        groups = self._group_batch(batch)
-        with self._obs_lock:
-            span = self.tracer.span("serve.batch", jobs=len(batch),
-                                    groups=len(groups))
-            span.__enter__()
-        try:
-            for (bench, scheme, text), jobs in groups.items():
-                self._dispatch_group(bench, scheme, text, jobs)
-        finally:
-            with self._obs_lock:
-                span.__exit__(None, None, None)
-
     def _dispatch_group(self, bench: str, scheme: str,
                         text: Optional[str],
-                        jobs: List[_Job]) -> None:
+                        handles: List[JobHandle]) -> None:
         """Run one (program, scheme) group, retrying crash/timeout."""
         indexed = tuple(
-            (index, job.handle.request.cell)
-            for index, job in enumerate(jobs)
+            (index, handle.request.cell)
+            for index, handle in enumerate(handles)
         )
         # The engine group-task over the whole function range; passing
         # None as the slice end means "all functions" without knowing
@@ -363,19 +275,18 @@ class CompileService:
         trace_specs = []
         if self.trace_dir is not None:
             trace_specs = [
-                (job.handle.request.trace_id,
-                 job.handle.request.parent_span_id)
-                for job in jobs
-                if getattr(job.handle.request, "trace_id", None)
+                (handle.request.trace_id, handle.request.parent_span_id)
+                for handle in handles
+                if handle.request.trace_id
             ]
         attempts = self.retries + 1
         error: Optional[BaseException] = None
         retryable = True
         for attempt in range(attempts):
-            for job in jobs:
-                job.handle.attempts = attempt + 1
+            for handle in handles:
+                handle.attempts = attempt + 1
             if attempt > 0:
-                self.metrics.inc("serve.jobs.retries", len(jobs))
+                self.metrics.inc("serve.jobs.retries", len(handles))
                 self._sleep(self.backoff * (2 ** (attempt - 1)))
             self.metrics.inc("serve.dispatches")
             try:
@@ -411,17 +322,14 @@ class CompileService:
                 break
             self.metrics.merge_snapshot(snapshot)
             by_index = dict(out)
-            for index, job in enumerate(jobs):
-                result = _merge_partials(
-                    job.handle.request.cell, by_index[index]
-                )
-                self._resolve_success(job.handle, result,
-                                      attempt=attempt + 1)
+            for index, handle in enumerate(handles):
+                self._resolve_success(handle, _merge_partials(
+                    handle.request.cell, by_index[index]))
             return
         cause = error if error is not None else RuntimeError("dispatch")
-        for job in jobs:
+        for handle in handles:
             self._resolve_failure(
-                job.handle,
+                handle,
                 JobFailedError(
                     f"job failed after {attempts} attempt(s): "
                     f"{type(cause).__name__}: {cause}",
@@ -430,27 +338,19 @@ class CompileService:
                 counter="serve.jobs.failed",
             )
 
-    def _resolve_success(self, handle: JobHandle, result: CellResult,
-                         attempt: int) -> None:
+    def _resolve_success(self, handle: JobHandle,
+                         result: CellResult) -> None:
         if self.store is not None:
             self.store.put(handle.key, result)
         with self._lock:
-            self._inflight.pop(handle.key, None)
-        with self._obs_lock:
-            with self.tracer.span("serve.job", key=handle.key[:12],
-                                  benchmark=handle.request.cell.benchmark,
-                                  scheme=handle.request.cell.scheme,
-                                  machine=handle.request.cell.machine,
-                                  heuristic=handle.request.cell.heuristic,
-                                  attempt=attempt, cached=False):
-                pass
+            self._pending.pop(id(handle), None)
         handle.resolve(result)
         self.metrics.inc("serve.jobs.completed")
 
     def _resolve_failure(self, handle: JobHandle, error: BaseException,
                          counter: str) -> None:
         with self._lock:
-            self._inflight.pop(handle.key, None)
+            self._pending.pop(id(handle), None)
         handle.fail(error)
         self.metrics.inc(counter)
 
@@ -467,7 +367,7 @@ class CompileService:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
-                pending = list(self._inflight.values())
+                pending = list(self._pending.values())
             if not pending and self._queue.empty():
                 return
             remaining = None if deadline is None \
@@ -506,7 +406,7 @@ class CompileService:
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            inflight = len(self._inflight)
+            inflight = len(self._pending)
         out: Dict[str, object] = {
             "inflight": inflight,
             "queued": self._queue.qsize(),

@@ -7,8 +7,8 @@ layers, all stdlib-only:
 
 * **Endpoints** — one textual scheme names both transports:
   ``unix:///path/to.sock`` and ``tcp://host:port`` parse to an
-  :class:`Endpoint`; a bare filesystem path is accepted as legacy
-  shorthand for ``unix://`` (the PR-5 ``--socket`` flag).
+  :class:`Endpoint`; a bare filesystem path is accepted as shorthand
+  for ``unix://``.
 
 * **Framing** — every message is one JSON object inside a
   length-prefixed frame: a 4-byte big-endian length followed by that
@@ -150,8 +150,7 @@ class Endpoint:
 def parse_endpoint(value: Union[str, Endpoint]) -> Endpoint:
     """Parse ``unix:///path`` / ``tcp://host:port`` (or a bare path).
 
-    A bare filesystem path is legacy shorthand for a Unix socket — the
-    deprecated ``--socket PATH`` flags funnel through it.
+    A bare filesystem path is shorthand for a Unix socket.
     """
     if isinstance(value, Endpoint):
         return value

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.serve.store as store_module
 from repro.evaluation.engine import GridCell, evaluate_grid
 from repro.obs import MetricsRegistry
 from repro.serve import (
+    ArtifactStore,
     CompileFleet,
     JobFailedError,
     JobRequest,
@@ -101,6 +104,88 @@ class TestIdentityAndRouting:
         assert set(_owners(cells)) == {0, 1}
         with pytest.raises(ValueError):
             KeyRouter(0)
+
+
+class TestRequestPath:
+    def test_cold_submit_keys_once_and_probes_the_owner_once(
+            self, tmp_path, monkeypatch):
+        # Count every cell_key call, whichever serve module bound it.
+        original = store_module.cell_key
+        keyings = []
+
+        def counting_cell_key(text, cell):
+            keyings.append(cell)
+            return original(text, cell)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.serve") and \
+                    getattr(module, "cell_key", None) is original:
+                monkeypatch.setattr(module, "cell_key", counting_cell_key)
+        gets = []
+        original_get = ArtifactStore.get
+
+        def counting_get(store, key):
+            gets.append(store.directory)
+            return original_get(store, key)
+
+        monkeypatch.setattr(ArtifactStore, "get", counting_get)
+        cell = GridCell("compress", "treegion", "4U", "global_weight")
+        request = JobRequest(cell=cell)
+        key = request_key(request)
+        owner = KeyRouter(2).shard_for(key)
+        del keyings[:]
+        with _fast_fleet(tmp_path) as fleet:
+            handle = fleet.submit(request)
+            assert len(keyings) == 1
+            assert handle.result(120.0) == evaluate_grid([cell])[0]
+            stores = fleet.stats()["shards"]
+        assert handle.source == "computed"
+        assert len(keyings) == 1
+        # One store read per dispatch attempt: the owner's, and the
+        # replica was skipped because it does not hold the key.
+        assert gets == [str(tmp_path / "cache" / f"shard-{owner:02d}")]
+        assert stores[owner]["service"]["store"]["misses"] == 1
+        assert stores[1 - owner]["service"]["store"]["misses"] == 0
+
+
+    def test_concurrent_store_probes_count_every_hit(self, tmp_path):
+        cells = _grid()
+        with _fast_fleet(tmp_path) as fleet:
+            direct = fleet.evaluate(cells)
+        registry = MetricsRegistry()
+        errors = []
+        # No hot tier: every submit that does not dedup probes a store.
+        fleet = _fast_fleet(tmp_path, metrics=registry, hot_cache=0)
+
+        def hammer():
+            try:
+                for _ in range(5):
+                    for cell, expected in zip(cells, direct):
+                        handle = fleet.submit(JobRequest(cell=cell))
+                        assert handle.result(60.0) == expected
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            fleet.close()
+        assert not errors, errors
+        counters = registry.counters
+        hits = sum(shard["service"]["store"]["hits"]
+                   for shard in fleet.stats()["shards"])
+        # A lost update on a store's hit count would break the equality.
+        assert hits == counters["serve.jobs.cache_hits"]
+        assert hits + counters.get("fleet.deduped", 0) == 8 * 5 * len(cells)
+        assert "serve.jobs.submitted" not in counters
 
 
 class TestHotTierAndIdempotency:

@@ -1,10 +1,15 @@
-"""The batched compilation service: identity, dedup, faults, wire.
+"""The served request path: identity, dedup, store, faults, wire.
 
-The service's one non-negotiable is bit-identity: routing a grid cell
-through batching, the worker pool, retries, and the artifact store must
-produce the same :class:`CellResult` as the reference serial path.  The
-fault-injection tests then kill workers, poison cache entries, and fill
-the intake queue to show every recovery path preserves that identity.
+The one non-negotiable is bit-identity: routing a grid cell through
+the fleet's dedup and store probe, the shard service's batching, the
+worker pool, retries, and the artifact store must produce the same
+:class:`CellResult` as the reference serial path.  Request-level cases
+(dedup, store hits, poisoned entries, explicit texts, ordering) run
+through a one-shard :class:`CompileFleet`, which owns that work; the
+worker, retry, backpressure and shutdown cases drive the shard's
+:class:`CompileService` directly.  The fault-injection tests kill
+workers, poison cache entries, and fill the intake queue to show every
+recovery path preserves identity.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.serve import (
     ServiceClosedError,
     ServiceSaturatedError,
     cell_key,
+    request_key,
     resolve_program_text,
     result_from_payload,
     store_schema,
@@ -46,6 +52,26 @@ from repro.serve.wire import ErrorCode, send_frame
 from repro.workloads.specint import build_benchmark
 
 _NO_SLEEP = lambda seconds: None  # noqa: E731 - retry backoff stub
+
+
+def _submit(service, cell):
+    """Hand ``cell`` to a shard service under its content key, as the
+    fleet does."""
+    request = JobRequest(cell=cell)
+    return service.submit(request, request_key(request))
+
+
+def _fleet(tmp_path=None, **kwargs):
+    """A one-shard fleet; ``service_kwargs`` reach its service."""
+    kwargs.setdefault("jobs", 1)
+    if tmp_path is not None:
+        kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
+    return CompileFleet(shards=1, sleep=_NO_SLEEP, **kwargs)
+
+
+def _shard_store(tmp_path):
+    """The store a one-shard fleet over ``tmp_path`` reads and writes."""
+    return ArtifactStore(str(tmp_path / "cache" / "shard-00"))
 
 
 def _grid(heuristics=("global_weight", "dep_height"),
@@ -94,39 +120,40 @@ class TestIdentity:
         cells = _grid()
         direct = evaluate_grid(cells)
         with CompileService(jobs=2) as service:
-            served = service.evaluate(cells)
+            handles = [_submit(service, cell) for cell in cells]
+            served = [handle.result(120.0) for handle in handles]
         assert served == direct
         assert served[0] == evaluate_cell(cells[0])
 
     def test_cold_and_warm_store_match_direct(self, tmp_path):
         cells = _grid()
         direct = evaluate_grid(cells)
-        store = ArtifactStore(str(tmp_path))
-        with CompileService(store=store, jobs=2) as service:
-            cold = service.evaluate(cells)
-        # A fresh service on the same directory answers from disk.
-        warm_store = ArtifactStore(str(tmp_path))
-        with CompileService(store=warm_store, jobs=2) as service:
-            handles = [service.submit(JobRequest(cell=cell))
+        with _fleet(tmp_path, jobs=2) as fleet:
+            cold = fleet.evaluate(cells)
+        # A fresh fleet on the same directory answers from disk.
+        with _fleet(tmp_path, jobs=2) as fleet:
+            handles = [fleet.submit(JobRequest(cell=cell))
                        for cell in cells]
             warm = [handle.result(60.0) for handle in handles]
-            assert all(handle.cached for handle in handles)
+            assert all(handle.cached and handle.source == "store"
+                       for handle in handles)
+            store = fleet.stats()["shards"][0]["service"]["store"]
         assert cold == direct
         assert warm == direct
-        assert warm_store.hits == len(cells)
+        assert store["hits"] == len(cells)
 
     def test_explicit_program_text_round_trips(self):
         text = format_program(build_benchmark("compress"))
         cell = GridCell("compress", "treegion", "4U", "global_weight")
         reference = evaluate_cell(cell, program=parse_program(text))
-        with CompileService(jobs=1) as service:
-            [served] = service.evaluate([cell], program_text=text)
+        with _fleet() as fleet:
+            [served] = fleet.evaluate([cell], program_text=text)
         assert served == reference
 
     def test_results_come_back_in_input_order(self):
         cells = _grid()
-        with CompileService(jobs=2, batch_size=2) as service:
-            served = service.evaluate(cells)
+        with _fleet(jobs=2, batch_size=2) as fleet:
+            served = fleet.evaluate(cells)
         assert [result.cell for result in served] == cells
 
 
@@ -135,33 +162,40 @@ class TestDedupAndBatching:
         gate = str(tmp_path / "gate")
         metrics = MetricsRegistry()
         cell = _grid()[0]
-        service = CompileService(
-            jobs=1, metrics=metrics,
-            worker=functools.partial(_gated_worker, gate),
+        fleet = _fleet(
+            metrics=metrics,
+            service_kwargs={"worker": functools.partial(_gated_worker,
+                                                        gate)},
         )
         try:
-            first = service.submit(JobRequest(cell=cell))
-            second = service.submit(JobRequest(cell=cell))
+            first = fleet.submit(JobRequest(cell=cell))
+            second = fleet.submit(JobRequest(cell=cell))
             assert second is first
             with open(gate, "w") as handle:
                 handle.write("go\n")
             assert first.result(60.0) == evaluate_cell(cell)
         finally:
-            service.close()
-        assert metrics.snapshot()["counters"]["serve.jobs.deduped"] == 1
+            fleet.close()
+        counters = metrics.snapshot()["counters"]
+        assert counters["fleet.deduped"] == 1
+        assert counters["serve.jobs.submitted"] == 1
 
     def test_cache_hit_skips_the_pool(self, tmp_path):
         cell = _grid()[0]
-        store = ArtifactStore(str(tmp_path / "store"))
-        key = cell_key(resolve_program_text(JobRequest(cell=cell)), cell)
-        store.put(key, evaluate_cell(cell))
+        key = request_key(JobRequest(cell=cell))
+        _shard_store(tmp_path).put(key, evaluate_cell(cell))
+        metrics = MetricsRegistry()
         # A worker that would fail proves the pool is never consulted.
-        with CompileService(store=store,
-                            worker=_always_failing_worker) as service:
-            handle = service.submit(JobRequest(cell=cell))
-            assert handle.cached
+        with _fleet(tmp_path, metrics=metrics,
+                    service_kwargs={"worker": _always_failing_worker}
+                    ) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
+            assert handle.cached and handle.source == "store"
             assert handle.attempts == 0
             assert handle.result(10.0) == evaluate_cell(cell)
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.jobs.cache_hits"] == 1
+        assert "serve.jobs.submitted" not in counters
 
 
 class TestFaults:
@@ -173,7 +207,7 @@ class TestFaults:
             jobs=1, retries=2, metrics=metrics, sleep=_NO_SLEEP,
             worker=functools.partial(_crash_once_worker, flag),
         ) as service:
-            handle = service.submit(JobRequest(cell=cell))
+            handle = _submit(service, cell)
             result = handle.result(60.0)
         assert result == evaluate_cell(cell)
         assert handle.attempts == 2
@@ -191,7 +225,7 @@ class TestFaults:
             sleep=_NO_SLEEP,
             worker=functools.partial(_hang_once_worker, flag),
         ) as service:
-            handle = service.submit(JobRequest(cell=cell))
+            handle = _submit(service, cell)
             result = handle.result(60.0)
         assert result == evaluate_cell(cell)
         assert metrics.snapshot()["counters"]["serve.timeouts"] == 1
@@ -202,7 +236,7 @@ class TestFaults:
         with CompileService(jobs=1, retries=5, metrics=metrics,
                             sleep=_NO_SLEEP,
                             worker=_always_failing_worker) as service:
-            handle = service.submit(JobRequest(cell=cell))
+            handle = _submit(service, cell)
             with pytest.raises(JobFailedError, match="unschedulable"):
                 handle.result(60.0)
         # No retry budget spent: replaying a deterministic job is futile.
@@ -218,26 +252,26 @@ class TestFaults:
             jobs=1, retries=1, sleep=_NO_SLEEP,
             worker=functools.partial(_crash_once_worker, always_crash),
         ) as service:
-            handle = service.submit(JobRequest(cell=cell))
+            handle = _submit(service, cell)
             with pytest.raises(JobFailedError, match="2 attempt"):
                 handle.result(60.0)
 
     def test_poisoned_cache_entry_recomputes_correctly(self, tmp_path):
         cell = _grid()[0]
-        store = ArtifactStore(str(tmp_path / "store"))
         key = cell_key(resolve_program_text(JobRequest(cell=cell)), cell)
-        poison = store._object_path(key)
+        poison = _shard_store(tmp_path)._object_path(key)
         os.makedirs(os.path.dirname(poison), exist_ok=True)
         with open(poison, "w") as handle:
             handle.write('{"schema": "evil", "time": -1}')
-        with CompileService(store=store, jobs=1) as service:
-            handle = service.submit(JobRequest(cell=cell))
+        with _fleet(tmp_path) as fleet:
+            handle = fleet.submit(JobRequest(cell=cell))
             result = handle.result(60.0)
-        assert not handle.cached
+            store = fleet.stats()["shards"][0]["service"]["store"]
+        assert not handle.cached and handle.source == "computed"
         assert result == evaluate_cell(cell)
-        assert store.corrupt == 1
+        assert store["corrupt"] == 1
         # The recompute healed the entry on disk.
-        assert ArtifactStore(str(tmp_path / "store")).get(key) == result
+        assert _shard_store(tmp_path).get(key) == result
 
     def test_full_queue_applies_backpressure_then_drains(self, tmp_path):
         gate = str(tmp_path / "gate")
@@ -249,21 +283,21 @@ class TestFaults:
             worker=functools.partial(_gated_worker, gate),
         )
         try:
-            first = service.submit(JobRequest(cell=cells[0]))
+            first = _submit(service, cells[0])
             # Wait for the dispatcher to pull the first job so exactly
             # one queue slot is in play.
             deadline = time.monotonic() + 5.0
             while service._queue.qsize() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            second = service.submit(JobRequest(cell=cells[1]))
+            second = _submit(service, cells[1])
             with pytest.raises(ServiceSaturatedError):
-                service.submit(JobRequest(cell=cells[2]))
+                _submit(service, cells[2])
             with open(gate, "w") as handle:
                 handle.write("go\n")
             assert first.result(60.0) == evaluate_cell(cells[0])
             assert second.result(60.0) == evaluate_cell(cells[1])
             # Pressure released: the rejected job now goes through.
-            third = service.submit(JobRequest(cell=cells[2]))
+            third = _submit(service, cells[2])
             assert third.result(60.0) == evaluate_cell(cells[2])
         finally:
             service.close()
@@ -278,11 +312,11 @@ class TestShutdown:
             jobs=1, batch_size=1, max_pending=4,
             worker=functools.partial(_gated_worker, gate),
         )
-        dispatched = service.submit(JobRequest(cell=cells[0]))
+        dispatched = _submit(service, cells[0])
         deadline = time.monotonic() + 5.0
         while service._queue.qsize() and time.monotonic() < deadline:
             time.sleep(0.01)
-        queued = service.submit(JobRequest(cell=cells[1]))
+        queued = _submit(service, cells[1])
         opener = threading.Timer(0.2, lambda: open(gate, "w").close())
         opener.start()
         try:
@@ -294,12 +328,12 @@ class TestShutdown:
         with pytest.raises(ServiceClosedError):
             queued.result(60.0)
         with pytest.raises(ServiceClosedError):
-            service.submit(JobRequest(cell=cells[2]))
+            _submit(service, cells[2])
 
     def test_draining_close_finishes_accepted_work(self):
         cells = _grid()
         service = CompileService(jobs=1, batch_size=2)
-        handles = [service.submit(JobRequest(cell=cell)) for cell in cells]
+        handles = [_submit(service, cell) for cell in cells]
         service.close(drain=True, timeout=120.0)
         direct = evaluate_grid(cells)
         assert [handle.result(0.0) for handle in handles] == direct
