@@ -885,6 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Treegion scheduling (HPCA 1998) reproduction toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
@@ -1253,6 +1254,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "cycle counts")
     common(p, with_scheme=False)
     p.set_defaults(func=cmd_dot)
+
+    # No prefix matching: a flag a command lacks must fail, not bind to
+    # a longer one (``serve --trace`` would otherwise mean --trace-dir).
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 

@@ -84,15 +84,25 @@ class ScheduleOptions:
     exact_budget: int = 50_000
 
 
-def _record_schedule_metrics(schedule: RegionSchedule) -> RegionSchedule:
-    """Count one finished region schedule into the active registry."""
-    metrics = current_metrics()
+#: The counters :func:`record_schedule_counters` writes for every region.
+SCHEDULE_COUNTERS = frozenset((
+    "schedule.regions", "schedule.cycles", "schedule.speculated",
+    "schedule.merged", "rename.exit_copies"))
+
+
+def record_schedule_counters(schedule, metrics=None):
+    """Count one finished region schedule (or anything with its length
+    and count attributes) into ``metrics``, by default the active
+    registry: the :data:`SCHEDULE_COUNTERS` plus the ``schedule.length``
+    histogram.  Returns ``schedule``."""
+    if metrics is None:
+        metrics = current_metrics()
     if metrics is not NULL_METRICS:
         metrics.inc("schedule.regions")
         metrics.inc("schedule.cycles", schedule.length)
         metrics.inc("schedule.speculated", schedule.speculated_count)
-        metrics.inc("schedule.merged", len(schedule.merged))
-        metrics.inc("rename.exit_copies", len(schedule.copies))
+        metrics.inc("schedule.merged", schedule.merged_count)
+        metrics.inc("rename.exit_copies", schedule.copy_count)
         metrics.observe("schedule.length", schedule.length)
     return schedule
 
@@ -145,7 +155,7 @@ def schedule_region(
 
         with span("list_schedule", region=region.root.bid,
                   kind="hyperblock"):
-            return _record_schedule_metrics(schedule_hyperblock(
+            return record_schedule_counters(schedule_hyperblock(
                 region, machine, heuristic=options.heuristic,
                 liveness=liveness, max_cycles=options.max_cycles,
             ))
@@ -208,7 +218,7 @@ def schedule_problem(
             schedule, _info = exact_schedule_problem(
                 problem, ddg, priorities, machine, options, copies,
             )
-            _record_schedule_metrics(schedule)
+            record_schedule_counters(schedule)
     else:
         heuristic = options.heuristic
         ranks = None if priorities is None else \
@@ -219,7 +229,7 @@ def schedule_problem(
                          if priorities is None
                          else priorities.rank(heuristic))
         with span("list_schedule"):
-            schedule = _record_schedule_metrics(list_schedule(
+            schedule = record_schedule_counters(list_schedule(
                 problem, ddg, ranks, machine,
                 dominator_parallelism=options.dominator_parallelism,
                 copies=copies, max_cycles=options.max_cycles,

@@ -12,6 +12,10 @@ The convention the CLI follows (and this sweep enforces):
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import __version__
@@ -107,3 +111,22 @@ class TestBadInputSweep:
         assert main(["client", "--endpoint", "http://host:80",
                      "--ping"]) == 2
         _stderr_error_line(capsys)
+
+
+class TestNoPrefixMatching:
+    def test_serve_rejects_a_prefix_of_trace_dir(self, tmp_path):
+        # With prefix matching, --trace meant --trace-dir and the server
+        # started serving, so run it in a child under a timeout: a
+        # server that starts fails the test instead of hanging it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [p for p in sys.path if p] + [env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--endpoint", "tcp://127.0.0.1:0", "--trace", "t.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --trace" in proc.stderr
+        assert not (tmp_path / "t.json").exists()

@@ -8,6 +8,7 @@ contract against randomly generated programs;
 """
 
 import itertools
+import json
 import tempfile
 
 import pytest
@@ -18,8 +19,14 @@ from repro.ir.analysis_cache import liveness_of
 from repro.ir.printer import format_operation
 from repro.machine import VLIW_4U, VLIW_8U
 from repro.obs.metrics import MetricsRegistry, metrics_scope
+from repro.obs.tracer import Tracer
 from repro.schedule import ScheduleOptions, schedule_region
-from repro.schedule.memo import RegionMemo, RegionSummary, global_memo
+from repro.schedule.memo import (
+    RegionMemo,
+    RegionSummary,
+    _Level2Entry,
+    global_memo,
+)
 from repro.schedule.priorities import HEURISTICS
 from repro.serve.store import ArtifactStore
 from repro.workloads.paper_example import build_paper_example
@@ -47,6 +54,17 @@ def _full(schedule):
         [(exit.source.bid, original, renamed)
          for exit, original, renamed in schedule.copies],
     )
+
+
+def _pipeline_counters(metrics):
+    """The deterministic snapshot as JSON, less the artifact store's own
+    I/O counters (``serve.store.*`` differ by route by design)."""
+    snapshot = metrics.deterministic_snapshot()
+    snapshot["counters"] = {
+        name: value for name, value in snapshot["counters"].items()
+        if not name.startswith("serve.store.")
+    }
+    return json.dumps(snapshot, sort_keys=True)
 
 
 def _assert_cold_and_warm_match_direct(**flags):
@@ -120,6 +138,49 @@ class TestIdentity:
         ])
         assert cold == direct
         assert warm == direct
+
+
+class TestGridIdentity:
+    """Memo-on grids write the memo-off deterministic snapshot, byte for
+    byte, on every route the memo takes."""
+
+    PROGRAMS = {"paper": build_paper_example()}
+    CELLS = [
+        GridCell("compress", "treegion-td:2.0", "8U", "global_weight",
+                 dominator_parallelism=True),
+        GridCell("compress", "treegion", "4U", "dep_height",
+                 schedule_copies=True),
+        GridCell("paper", "treegion", "4U", "global_weight",
+                 backend="exact"),
+    ]
+
+    def _run(self, cells, **kwargs):
+        metrics = MetricsRegistry()
+        results = evaluate_grid(cells, programs=self.PROGRAMS,
+                                metrics=metrics, **kwargs)
+        return results, _pipeline_counters(metrics)
+
+    @pytest.mark.parametrize("cell", CELLS,
+                             ids=["dominator_parallelism", "schedule_copies",
+                                  "exact"])
+    def test_cold_and_warm_match_memo_off(self, cell):
+        reference = self._run([cell], region_memo=False)
+        memo = RegionMemo()
+        assert self._run([cell], region_memo=memo) == reference
+        assert self._run([cell], region_memo=memo) == reference
+        assert memo.stats()["hits"] > 0
+
+    def test_store_revived_memo_matches_memo_off(self):
+        reference = self._run(self.CELLS, region_memo=False)
+        with tempfile.TemporaryDirectory(prefix="repro-memo-") as tmp:
+            seeding = RegionMemo(store=ArtifactStore(tmp))
+            self._run(self.CELLS, region_memo=seeding)
+            seeding.store.sync()
+            revived = RegionMemo(store=ArtifactStore(tmp))
+            assert self._run(self.CELLS, region_memo=revived) == reference
+        stats = revived.stats()
+        assert stats["misses"] == 0
+        assert stats["store_hits"] > 0
 
 
 class TestTierOneSharing:
@@ -197,6 +258,115 @@ class TestStorePersistence:
         assert stats["bytes"] > 0
 
 
+class TestStorePayloadFormat:
+    """A store payload of any other shape is a miss: the memo recomputes,
+    serves the direct pipeline's results and counters, and overwrites
+    the payload."""
+
+    OPTIONS = ScheduleOptions(heuristic="global_weight")
+
+    def _direct(self, regions, liveness):
+        metrics = MetricsRegistry()
+        with metrics_scope(metrics):
+            summaries = [
+                _summary(schedule_region(r, VLIW_4U, self.OPTIONS, liveness))
+                for r in regions
+            ]
+        return summaries, _pipeline_counters(metrics)
+
+    def _served(self, tmp, regions, liveness):
+        memo = RegionMemo(store=ArtifactStore(tmp))
+        metrics = MetricsRegistry()
+        with metrics_scope(metrics):
+            summaries = [
+                _summary(memo.schedule(r, VLIW_4U, self.OPTIONS, liveness))
+                for r in regions
+            ]
+        memo.store.sync()
+        return (summaries, _pipeline_counters(metrics)), memo.stats()
+
+    def _assert_recomputed_after(self, forge):
+        fn = build_paper_example().entry_function
+        regions, liveness = _regions(fn)
+        reference = self._direct(regions, liveness)
+        with tempfile.TemporaryDirectory(prefix="repro-memo-") as tmp:
+            seeding = RegionMemo(store=ArtifactStore(tmp))
+            for region in regions:
+                seeding.schedule(region, VLIW_4U, self.OPTIONS, liveness)
+            for key, entry in seeding._entries.items():
+                forge(seeding.store, RegionMemo._store_key(key), entry)
+            seeding.store.sync()
+
+            served, stats = self._served(tmp, regions, liveness)
+            assert served == reference
+            assert stats["store_hits"] == 0
+            assert stats["misses"] == len(regions)
+            # The recompute overwrote every forged payload.
+            served, stats = self._served(tmp, regions, liveness)
+            assert served == reference
+            assert stats["store_hits"] == len(regions)
+
+    def test_old_shape_payload_recomputes(self):
+        def forge(store, key, entry):
+            # The format-1 layout (a metrics snapshot, no counter pairs),
+            # with a length no replay may trust.
+            payload = entry.payload()
+            del payload["counters"]
+            payload["length"] += 1
+            payload["snapshot"] = {
+                "counters": {"schedule.regions": 1,
+                             "schedule.cycles": payload["length"]},
+                "histograms": {},
+            }
+            store.put_payload(key, payload)
+
+        self._assert_recomputed_after(forge)
+
+    @pytest.mark.parametrize("cut", ["exit_cycles", "bytes"])
+    def test_truncated_payload_recomputes(self, cut):
+        def forge(store, key, entry):
+            if cut == "exit_cycles":
+                payload = entry.payload()
+                payload["exit_cycles"] = payload["exit_cycles"][:-1]
+                store.put_payload(key, payload)
+                return
+            path = store._object_path(key)
+            with open(path) as handle:
+                text = handle.read()
+            with open(path, "w") as handle:
+                handle.write(text[:len(text) // 2])
+
+        self._assert_recomputed_after(forge)
+
+    def test_region_key_carries_the_payload_format(self, monkeypatch):
+        from repro.serve import store
+
+        key = store.region_key("r", "m", "global_weight", False, False)
+        monkeypatch.setattr(store, "REGION_PAYLOAD_FORMAT",
+                            store.REGION_PAYLOAD_FORMAT - 1)
+        assert store.region_key("r", "m", "global_weight", False,
+                                False) != key
+
+    @pytest.mark.parametrize("damage", [
+        {"kind": "cell"},
+        {"length": True},
+        {"length": 3.0},
+        {"counters": {"schedule.regions": 1}},
+        {"counters": {"ddg.nodes": "4"}},
+        {"counters": [["ddg.nodes", 4]]},
+        {"extra": 1},
+    ], ids=["kind", "bool", "float", "fixed-counter", "str-counter",
+            "pair-list", "extra-field"])
+    def test_from_payload_rejects_other_shapes(self, damage):
+        entry = _Level2Entry((3, 5), 5, 1, 0, 2, (("ddg.nodes", 4),))
+        payload = entry.payload()
+        restored = _Level2Entry.from_payload(payload, exits=2)
+        assert restored.payload() == payload
+        payload.update(damage)
+        with pytest.raises(ValueError):
+            _Level2Entry.from_payload(payload, exits=2)
+
+
 class TestBypasses:
     def test_certify_bypasses(self):
         fn = diamond_function()
@@ -235,6 +405,23 @@ class TestEngineWiring:
             assert name in gauges, name
         assert gauges["cache.region.misses"] > 0
         assert gauges["cache.region.bytes"] > 0
+
+    def test_memo_spans_count_its_requests(self):
+        tracer = Tracer()
+        memo = RegionMemo()
+        # The repeated cells are served from tier 2.
+        evaluate_grid(self.GRID * 2, jobs=1, tracer=tracer,
+                      region_memo=memo)
+        counts = tracer.stage_counts
+        stats = memo.stats()
+        assert stats["hits"] > 0
+        assert (counts["memo.lookup"] == counts["fingerprint"]
+                == stats["hits"] + stats["misses"])
+        assert counts["memo.replay"] == stats["hits"]
+        assert counts["memo.store"] == stats["misses"]
+        (root,) = [s for s in tracer.spans if s.name == "evaluate_grid"]
+        assert tracer.stage_total == pytest.approx(root.duration,
+                                                   rel=1e-9)
 
     def test_gauges_outside_determinism_contract(self):
         metrics = MetricsRegistry()
