@@ -12,6 +12,8 @@ import json
 import multiprocessing
 import os
 
+import pytest
+
 from repro.evaluation.engine import CellResult, GridCell, evaluate_cell
 from repro.obs import MetricsRegistry, metrics_scope
 from repro.serve import (
@@ -206,6 +208,15 @@ class TestCorruption:
         with open(store._object_path(KEY_A), "w") as handle:
             json.dump(payload, handle)
         assert store.get(KEY_A) is None
+        assert store.corrupt == 1
+
+    @pytest.mark.parametrize("read", ["get", "get_payload"])
+    def test_non_object_payload_is_corrupt(self, tmp_path, read):
+        store = ArtifactStore(str(tmp_path))
+        store.put(KEY_A, _result())
+        with open(store._object_path(KEY_A), "w") as handle:
+            handle.write("[1, 2]")
+        assert getattr(store, read)(KEY_A) is None
         assert store.corrupt == 1
 
 
